@@ -21,11 +21,12 @@ import numpy as np
 from . import __version__
 from .f_test import FEffect, plan_f
 from .ldp_engine import (
+    FAMILIES,
+    SCORE_FAMILIES,
+    SHIFT_FAMILIES,
     SplitSpec,
     TailIndex,
-    UnsupportedFamilyError,
     empirical_cgf,
-    k_f,
     legendre,
     make_family,
     make_score_model,
@@ -43,6 +44,7 @@ from .mc_verify import (
     tail_ratio_mc,
 )
 from .normal_t import SnrEffect, SnrMixture, plan_t, plan_t_mixture
+from .numerics import RootBracketError, SeriesDivergenceError
 from .pfdr_core import NotAttainableError, PfdrTarget
 
 __all__ = ["RunConfig", "UsageError", "parse_config", "run", "main", "main_entry"]
@@ -72,20 +74,26 @@ class Param:
     help: str = ""
 
 
-_DATA_FAMILIES = ("normal", "uniform", "gamma")
-_SCORE_FAMILIES = ("normal-score", "cauchy-score", "gamma-score")
-_SIM_FAMILIES = _DATA_FAMILIES + _SCORE_FAMILIES
-
 _TARGET = (
     Param("alpha", float, required=True, help="target pFDR level in (0, 1)"),
     Param("pi", float, required=True, help="prior probability a null is false"),
 )
-_FAMILY_PARAMS = (
-    Param("sigma", float, default=1.0, help="normal standard deviation"),
-    Param("width", float, default=1.0, help="uniform support width"),
-    Param("shape", float, help="gamma shape (required for gamma family)"),
-    Param("scale", float, default=1.0, help="gamma scale"),
-)
+
+_PARAM_HELP = {"sigma": "standard deviation", "width": "support width"}
+
+
+def _family_params(names: tuple[str, ...]) -> tuple[Param, ...]:
+    """One flag per parameter of the named families, default from the registry."""
+    params: dict[str, Param] = {}
+    for name in names:
+        for key, default in FAMILIES[name].params.items():
+            required = f" (required for {name} family)" if default is None else ""
+            text = f"{name} {_PARAM_HELP.get(key, key)}{required}"
+            params.setdefault(key, Param(key, float, default=default, help=text))
+    return tuple(params.values())
+
+
+_FAMILY_PARAMS = _family_params(SHIFT_FAMILIES)
 _EMPIRICAL_PARAMS = (
     Param("sample-file", str, help="text file of observations for family=empirical"),
     Param(
@@ -126,7 +134,7 @@ COMMANDS: dict[str, tuple[Param, ...]] = {
             "family",
             str,
             required=True,
-            choices=_DATA_FAMILIES + ("empirical",),
+            choices=SHIFT_FAMILIES + ("empirical",),
             help="data family",
         ),
         Param("effect", float, required=True, help="mean shift d > 0"),
@@ -137,20 +145,22 @@ COMMANDS: dict[str, tuple[Param, ...]] = {
     "plan-score": _TARGET
     + (
         Param(
-            "family", str, required=True, choices=_SCORE_FAMILIES, help="score model"
+            "family", str, required=True, choices=SCORE_FAMILIES, help="score model"
         ),
         Param("effect", float, required=True, help="location shift theta > 0"),
         Param("rho", float, required=True, help="fraction of sample for the scale"),
-        Param("sigma", float, default=1.0, help="normal-score standard deviation"),
-    ),
+    )
+    + _family_params(SCORE_FAMILIES),
     "optimize-split": (
         Param(
-            "family", str, required=True, choices=_DATA_FAMILIES, help="data family"
+            "family", str, required=True, choices=SHIFT_FAMILIES, help="data family"
         ),
     )
     + _FAMILY_PARAMS,
     "simulate": (
-        Param("family", str, required=True, choices=_SIM_FAMILIES, help="data family"),
+        Param(
+            "family", str, required=True, choices=tuple(FAMILIES), help="data family"
+        ),
         Param(
             "estimand",
             str,
@@ -181,7 +191,7 @@ COMMANDS: dict[str, tuple[Param, ...]] = {
             "family",
             str,
             required=True,
-            choices=_DATA_FAMILIES + _SCORE_FAMILIES + ("empirical",),
+            choices=tuple(FAMILIES) + ("empirical",),
             help="data family or score model",
         ),
         Param("rho", float, default=0.5, help="fraction of sample for the scale"),
@@ -343,7 +353,6 @@ def run(config: RunConfig) -> int:
     try:
         outputs, diagnostics = _execute(config)
         status = "ok"
-        code = 0
     except NotAttainableError as exc:
         outputs = {"n_exact": None, "n_asymptotic": None}
         diagnostics = {
@@ -352,7 +361,6 @@ def run(config: RunConfig) -> int:
             "q_value": exc.q_value,
         }
         status = "not-attainable"
-        code = 1
     except InsufficientHitsError as exc:
         outputs = {"ratio_hat": None}
         diagnostics = {
@@ -362,7 +370,6 @@ def run(config: RunConfig) -> int:
             "min_hits": exc.min_hits,
         }
         status = "insufficient-hits"
-        code = 1
     except DegenerateScenarioError as exc:
         outputs = {"pfdr_hat": None}
         diagnostics = {
@@ -371,7 +378,10 @@ def run(config: RunConfig) -> int:
             "reject_rate_bound": exc.reject_rate_bound,
         }
         status = "degenerate-scenario"
-        code = 1
+    except (RootBracketError, SeriesDivergenceError) as exc:
+        outputs, diagnostics = {}, {"message": str(exc)}
+        diverged = isinstance(exc, SeriesDivergenceError)
+        status = "series-diverged" if diverged else "root-not-bracketed"
 
     report = {
         "command": config.command,
@@ -391,7 +401,7 @@ def run(config: RunConfig) -> int:
                 fh.write(text + "\n")
         except OSError as exc:
             raise UsageError(f"cannot write {config.output_path!r}: {exc}")
-    return code
+    return 0 if status == "ok" else 1
 
 
 def _execute(config: RunConfig) -> tuple[dict[str, Any], dict[str, Any]]:
@@ -399,11 +409,7 @@ def _execute(config: RunConfig) -> tuple[dict[str, Any], dict[str, Any]]:
     try:
         handler = _HANDLERS[config.command]
         return handler(p, config.seed)
-    except UnsupportedFamilyError as exc:
-        raise UsageError(str(exc)) from exc
-    except (NotAttainableError, InsufficientHitsError, DegenerateScenarioError):
-        raise
-    except ValueError as exc:
+    except ValueError as exc:  # UnsupportedFamilyError included
         raise UsageError(str(exc)) from exc
 
 
@@ -456,18 +462,6 @@ def _handle_plan_f(p: dict[str, Any], seed: int):
     return _plan_outputs(plan_f(target, FEffect(p["delta"], p["p"]), n_max=p["n-max"]))
 
 
-def _family_kwargs(p: dict[str, Any], family: str) -> dict[str, float]:
-    if family in ("normal", "normal-score"):
-        return {"sigma": p["sigma"]}
-    if family == "uniform":
-        return {"width": p["width"]}
-    if family == "gamma":
-        if p.get("shape") is None:
-            raise UsageError("gamma family requires --shape")
-        return {"shape": p["shape"], "scale": p["scale"]}
-    return {}
-
-
 def _empirical_model(p: dict[str, Any]):
     if p.get("sample-file") is None:
         raise UsageError("family=empirical requires --sample-file")
@@ -490,21 +484,22 @@ def _handle_plan_general(p: dict[str, Any], seed: int):
     if family == "empirical":
         cgf, tail = _empirical_model(p)
     else:
-        cgf, tail = make_family(family, **_family_kwargs(p, family))
+        cgf, tail = make_family(family, **FAMILIES[family].kwargs(p))
     report = n_star_general(target, cgf, tail, SplitSpec(p["rho"]), p["effect"])
     return _plan_outputs(report)
 
 
 def _handle_plan_score(p: dict[str, Any], seed: int):
     target = PfdrTarget(p["alpha"], p["pi"])
-    model = make_score_model(p["family"], sigma=p["sigma"])
+    family = p["family"]
+    model = make_score_model(family, **FAMILIES[family].kwargs(p))
     report = n_star_score(target, model, SplitSpec(p["rho"]), p["effect"])
     return _plan_outputs(report)
 
 
 def _handle_optimize_split(p: dict[str, Any], seed: int):
     family = p["family"]
-    cgf, tail = make_family(family, **_family_kwargs(p, family))
+    cgf, tail = make_family(family, **FAMILIES[family].kwargs(p))
     opt = optimal_split(cgf, tail)
     outputs = {
         "rho_star": opt.rho_star,
@@ -526,7 +521,7 @@ def _handle_simulate(p: dict[str, Any], seed: int):
         schedule=schedule,
         trials=p["trials"],
         seed=seed,
-        params=_family_kwargs(p, family),
+        params=FAMILIES[family].kwargs(p),
     )
     n_total = scenario.n + scenario.m
     diagnostics: dict[str, Any] = {
@@ -565,12 +560,12 @@ def _handle_ldp_info(p: dict[str, Any], seed: int):
     k_f_value = None
     if family == "empirical":
         cgf, tail = _empirical_model(p)
-    elif family in _SCORE_FAMILIES:
-        model = make_score_model(family, sigma=p["sigma"])
+    elif family in SCORE_FAMILIES:
+        model = make_score_model(family, **FAMILIES[family].kwargs(p))
         cgf, tail = model.cgf, model.tail
         k_f_value = model.k_f
     else:
-        cgf, tail = make_family(family, **_family_kwargs(p, family))
+        cgf, tail = make_family(family, **FAMILIES[family].kwargs(p))
     split = SplitSpec(p["rho"])
     t0 = solve_t0(cgf, tail, split)
     outputs: dict[str, Any] = {

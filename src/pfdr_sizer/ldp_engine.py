@@ -27,6 +27,11 @@ Everything here works through CgfModel, a container of Lambda and its first
 two derivatives with an explicit domain; built-in constructors cover normal,
 uniform, and centered gamma data plus normal, Cauchy, and Gumbel-type
 (log-exponential) score models, and empirical_cgf fits one from a sample.
+
+FAMILIES declares each built-in family once: its name, whether it is a shift
+or a score family, its parameters with their defaults, its model constructor
+and the sampler the Monte Carlo engine draws its statistics from.  The
+planners, the CLI and mc_verify all read their families from it.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 from scipy import integrate, special
@@ -53,7 +58,7 @@ __all__ = [
     "SplitSpec",
     "ScoreModel",
     "SplitOptimum",
-    "PsiModel",
+    "Family",
     "UnsupportedFamilyError",
     "QuadratureError",
     "normal_family",
@@ -64,6 +69,9 @@ __all__ = [
     "cauchy_score_model",
     "gamma_score_model",
     "make_score_model",
+    "FAMILIES",
+    "SHIFT_FAMILIES",
+    "SCORE_FAMILIES",
     "legendre",
     "solve_t0",
     "k_f",
@@ -71,8 +79,6 @@ __all__ = [
     "n_star_general",
     "n_star_score",
     "pfdr_floor_limit",
-    "make_psi_model",
-    "eta_psi",
     "empirical_cgf",
     "REGIME_CGF_RATE",
     "REGIME_SCORE_RATE",
@@ -111,7 +117,6 @@ class TailIndex:
 
     lam: float = 0.0
     zeta_kind: str = "constant"
-    c_const: float | None = None
 
     def __post_init__(self) -> None:
         if not self.lam > -1.0:
@@ -152,14 +157,12 @@ class ScoreModel:
     """Score transform of the data plus everything the rate formula needs.
 
     cgf describes the score under the true null; k_f is the variance-side
-    rate contribution (0 for scores with even null density); k_f_mode
-    records how k_f was obtained.
+    rate contribution (0 for scores with even null density).
     """
 
     cgf: CgfModel
     tail: TailIndex
     k_f: float
-    k_f_mode: str = "exact"
 
 
 @dataclass(frozen=True)
@@ -174,21 +177,6 @@ class SplitOptimum:
     rho_star: float | None
     objective: float
     boundary: str | None = None
-
-
-@dataclass(frozen=True)
-class PsiModel:
-    """Log mgf of half the squared paired difference: Psi(t) = ln E exp(t (X-Y)^2 / 2).
-
-    Finite for t < domain_sup; sigma2 is the variance of one observation,
-    which bounds the slopes Psi' takes on the negative axis from above.
-    """
-
-    psi_fn: Callable[[float], float]
-    psi_d1: Callable[[float], float]
-    sigma2: float
-    domain_sup: float = math.inf
-    family_tag: str = "custom"
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +194,7 @@ def normal_family(sigma: float = 1.0) -> tuple[CgfModel, TailIndex]:
         family_tag=f"normal(sigma={sigma:g})",
     )
     # X - Y is normal with variance 2 sigma^2: positive finite density at 0
-    tail = TailIndex(lam=0.0, c_const=1.0 / (2.0 * sigma * math.sqrt(math.pi)))
-    return cgf, tail
+    return cgf, TailIndex(lam=0.0)
 
 
 def _uniform_lambda(t: float) -> float:
@@ -250,8 +237,7 @@ def uniform_family(width: float = 1.0) -> tuple[CgfModel, TailIndex]:
         family_tag=f"uniform(width={width:g})",
     )
     # X - Y is triangular on [-w, w]: g(0) = 1/w
-    tail = TailIndex(lam=0.0, c_const=1.0 / w)
-    return cgf, tail
+    return cgf, TailIndex(lam=0.0)
 
 
 def gamma_family(shape: float, scale: float = 1.0) -> tuple[CgfModel, TailIndex]:
@@ -301,19 +287,6 @@ def _check_below(t: float, sup: float) -> None:
         raise ValueError(f"t = {t!r} is outside the domain (t < {sup!r})")
 
 
-def make_family(name: str, **params: float) -> tuple[CgfModel, TailIndex]:
-    """Built-in data family by name: normal, uniform, or gamma."""
-    if name == "normal":
-        return normal_family(params.get("sigma", 1.0))
-    if name == "uniform":
-        return uniform_family(params.get("width", 1.0))
-    if name == "gamma":
-        if "shape" not in params:
-            raise ValueError("gamma family requires a shape parameter")
-        return gamma_family(params["shape"], params.get("scale", 1.0))
-    raise UnsupportedFamilyError(f"no built-in data family named {name!r}")
-
-
 # ---------------------------------------------------------------------------
 # built-in score models
 
@@ -329,7 +302,7 @@ def normal_score_model(sigma: float = 1.0) -> ScoreModel:
         lambda_d2=lambda t: inv_s2,
         family_tag=f"normal-score(sigma={sigma:g})",
     )
-    return ScoreModel(cgf=cgf, tail=TailIndex(lam=0.0), k_f=0.0, k_f_mode="exact")
+    return ScoreModel(cgf=cgf, tail=TailIndex(lam=0.0), k_f=0.0)
 
 
 def _cauchy_ratio(t: float) -> float:
@@ -369,7 +342,7 @@ def cauchy_score_model() -> ScoreModel:
         lambda_fn=lam, lambda_d1=lam1, lambda_d2=lam2, family_tag="cauchy-score"
     )
     tail = TailIndex(lam=0.0, zeta_kind="logarithmic")
-    return ScoreModel(cgf=cgf, tail=tail, k_f=0.0, k_f_mode="exact")
+    return ScoreModel(cgf=cgf, tail=tail, k_f=0.0)
 
 
 def gamma_score_model() -> ScoreModel:
@@ -403,12 +376,7 @@ def gamma_score_model() -> ScoreModel:
         domain_inf=-1.0,
         family_tag="gamma-score",
     )
-    return ScoreModel(
-        cgf=cgf,
-        tail=TailIndex(lam=0.0),
-        k_f=1.0 - math.log(2.0),
-        k_f_mode="exact",
-    )
+    return ScoreModel(cgf=cgf, tail=TailIndex(lam=0.0), k_f=1.0 - math.log(2.0))
 
 
 def gamma_score_density(x: float) -> float:
@@ -419,14 +387,141 @@ def gamma_score_density(x: float) -> float:
     return math.exp(u - math.exp(u))
 
 
+# ---------------------------------------------------------------------------
+# Monte Carlo samplers: sample(rng, size, n, m, effect, **params) draws size
+# statistics and returns (xbar0, s0, xbar1, s1).  The 0-parts are under the
+# true null, the 1-parts are the same underlying draws with the effect
+# applied (common random numbers).  For shift families s1 is s0 itself:
+# pair differences cancel a mean shift.
+
+
+def _pair_scale(obs: np.ndarray) -> np.ndarray:
+    # S = sqrt((1/2m) sum over pairs of squared differences)
+    d = obs[:, 0::2] - obs[:, 1::2]
+    return np.sqrt(0.5 * np.mean(d * d, axis=1))
+
+
+def _sample_normal(rng, size, n, m, effect, sigma):
+    xbar0 = sigma * rng.standard_normal((size, n)).mean(axis=1)
+    s0 = sigma * _pair_scale(rng.standard_normal((size, 2 * m)))
+    return xbar0, s0, xbar0 + effect, s0
+
+
+def _sample_uniform(rng, size, n, m, effect, width):
+    xbar0 = width * (rng.random((size, n)) - 0.5).mean(axis=1)
+    s0 = width * _pair_scale(rng.random((size, 2 * m)))
+    return xbar0, s0, xbar0 + effect, s0
+
+
+def _sample_gamma(rng, size, n, m, effect, shape, scale):
+    xbar0 = scale * (rng.standard_gamma(shape, (size, n)) - shape).mean(axis=1)
+    s0 = scale * _pair_scale(rng.standard_gamma(shape, (size, 2 * m)))
+    return xbar0, s0, xbar0 + effect, s0
+
+
+def _sample_normal_score(rng, size, n, m, effect, sigma):
+    xbar0 = rng.standard_normal((size, n)).mean(axis=1) / sigma
+    s0 = _pair_scale(rng.standard_normal((size, 2 * m))) / sigma
+    return xbar0, s0, xbar0 + effect / (sigma * sigma), s0
+
+
+def _cauchy_score(w: np.ndarray) -> np.ndarray:
+    return 2.0 * w / (1.0 + w * w)
+
+
+def _sample_cauchy_score(rng, size, n, m, effect):
+    w = rng.standard_cauchy((size, n))
+    xbar0 = _cauchy_score(w).mean(axis=1)
+    xbar1 = _cauchy_score(w + effect).mean(axis=1)
+    w2 = rng.standard_cauchy((size, 2 * m))
+    s0 = _pair_scale(_cauchy_score(w2))
+    s1 = _pair_scale(_cauchy_score(w2 + effect))
+    return xbar0, s0, xbar1, s1
+
+
+def _sample_gamma_score(rng, size, n, m, effect):
+    # unit-rate exponential data; a location shift of size theta adds an
+    # independent Gamma(theta) by shape additivity
+    w = rng.standard_exponential((size, n))
+    g = rng.standard_gamma(effect, (size, n)) if effect > 0.0 else 0.0
+    xbar0 = (np.log(w) + EULER_GAMMA).mean(axis=1)
+    xbar1 = (np.log(w + g) + EULER_GAMMA).mean(axis=1)
+    w2 = rng.standard_exponential((size, 2 * m))
+    g2 = rng.standard_gamma(effect, (size, 2 * m)) if effect > 0.0 else 0.0
+    s0 = _pair_scale(np.log(w2) + EULER_GAMMA)
+    s1 = _pair_scale(np.log(w2 + g2) + EULER_GAMMA)
+    return xbar0, s0, xbar1, s1
+
+
+# ---------------------------------------------------------------------------
+# the family registry
+
+
+@dataclass(frozen=True)
+class Family:
+    """One built-in family: everything planners, CLI and Monte Carlo need.
+
+    kind "shift" is raw data whose mean moves by the effect (model returns
+    (CgfModel, TailIndex)); kind "score" is a location score whose
+    underlying observation moves by the effect (model returns a
+    ScoreModel).  params maps each parameter to its default, None marking a
+    required one; model and sample take exactly these as keywords.
+    """
+
+    name: str
+    kind: str
+    params: dict[str, float | None]
+    model: Callable[..., Any]
+    sample: Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+
+    def kwargs(self, given: Mapping[str, Any]) -> dict[str, Any]:
+        """This family's parameters from given, defaults filled in, others ignored."""
+        out = {key: given.get(key, default) for key, default in self.params.items()}
+        for key, value in out.items():
+            if value is None:
+                raise ValueError(f"{self.name} family requires a {key} parameter")
+        return out
+
+
+FAMILIES: dict[str, Family] = {
+    family.name: family
+    for family in (
+        Family("normal", "shift", {"sigma": 1.0}, normal_family, _sample_normal),
+        Family("uniform", "shift", {"width": 1.0}, uniform_family, _sample_uniform),
+        Family(
+            "gamma", "shift", {"shape": None, "scale": 1.0}, gamma_family, _sample_gamma
+        ),
+        Family(
+            "normal-score",
+            "score",
+            {"sigma": 1.0},
+            normal_score_model,
+            _sample_normal_score,
+        ),
+        Family("cauchy-score", "score", {}, cauchy_score_model, _sample_cauchy_score),
+        Family("gamma-score", "score", {}, gamma_score_model, _sample_gamma_score),
+    )
+}
+SHIFT_FAMILIES = tuple(name for name, f in FAMILIES.items() if f.kind == "shift")
+SCORE_FAMILIES = tuple(name for name, f in FAMILIES.items() if f.kind == "score")
+
+
+def _build(name: str, kind: str, what: str, params: Mapping[str, Any]) -> Any:
+    # "_" may stand for "-" in a family name
+    family = FAMILIES.get(name.replace("_", "-"))
+    if family is None or family.kind != kind:
+        raise UnsupportedFamilyError(f"no built-in {what} named {name!r}")
+    return family.model(**family.kwargs(params))
+
+
+def make_family(name: str, **params: float) -> tuple[CgfModel, TailIndex]:
+    """Built-in data family by name: normal, uniform, or gamma."""
+    return _build(name, "shift", "data family", params)
+
+
 def make_score_model(name: str, **params: float) -> ScoreModel:
-    if name in ("normal-score", "normal_score"):
-        return normal_score_model(params.get("sigma", 1.0))
-    if name in ("cauchy-score", "cauchy_score"):
-        return cauchy_score_model()
-    if name in ("gamma-score", "gamma_score"):
-        return gamma_score_model()
-    raise UnsupportedFamilyError(f"no built-in score model named {name!r}")
+    """Built-in score model by name: normal-score, cauchy-score, or gamma-score."""
+    return _build(name, "score", "score model", params)
 
 
 # ---------------------------------------------------------------------------
@@ -591,6 +686,20 @@ def pfdr_floor_limit(pi: float, rho: float, t_growth: float, t0: float) -> float
     return (1.0 - pi) / ((1.0 - pi) + pi * gain)
 
 
+def _integer_plan(q: float, rate: float, rho: float) -> tuple[float, dict[str, float]]:
+    """N_asymptotic = ln(Q) / rate, and the integer plan's diagnostics."""
+    log_q = math.log(q)
+    n_asym = log_q / rate if log_q > 0.0 else 1.0
+    n_ceil = max(1.0, math.ceil(n_asym))
+    m_split = round(rho * n_ceil)
+    return n_asym, {
+        "log_q": log_q,
+        "n_ceiling": n_ceil,
+        "m_variance_part": float(m_split),
+        "n_mean_part": float(n_ceil - m_split),
+    }
+
+
 def n_star_general(
     target: PfdrTarget,
     cgf: CgfModel,
@@ -609,19 +718,15 @@ def n_star_general(
     q = target.q()
     t0 = solve_t0(cgf, tail, split)
     rho = split.rho
-    log_q = math.log(q)
-    n_asym = log_q / (d * (1.0 - rho) * t0) if log_q > 0.0 else 1.0
-    n_ceil = max(1.0, math.ceil(n_asym))
-    m_split = round(rho * n_ceil)
+    n_asym, plan = _integer_plan(q, d * (1.0 - rho) * t0, rho)
     diagnostics = {
         "t0": t0,
         "lambda_tail": tail.lam,
         "rho": rho,
-        "log_q": log_q,
-        "n_ceiling": n_ceil,
-        "m_variance_part": float(m_split),
-        "n_mean_part": float(n_ceil - m_split),
-        "pfdr_floor_at_plan": pfdr_floor_limit(target.pi, rho, d * n_ceil, t0),
+        **plan,
+        "pfdr_floor_at_plan": pfdr_floor_limit(
+            target.pi, rho, d * plan["n_ceiling"], t0
+        ),
     }
     return PlanReport(
         n_exact=None,
@@ -656,20 +761,14 @@ def n_star_score(
             f"score rate is not positive (rate={rate!r}); the split or the "
             "model's K_f leaves no usable signal"
         )
-    log_q = math.log(q)
-    n_asym = log_q / rate if log_q > 0.0 else 1.0
-    n_ceil = max(1.0, math.ceil(n_asym))
-    m_split = round(rho * n_ceil)
+    n_asym, plan = _integer_plan(q, rate, rho)
     diagnostics = {
         "t0": t0,
         "lambda_prime_t0": lam1_t0,
         "k_f": model.k_f,
         "lambda_tail": model.tail.lam,
         "rho": rho,
-        "log_q": log_q,
-        "n_ceiling": n_ceil,
-        "m_variance_part": float(m_split),
-        "n_mean_part": float(n_ceil - m_split),
+        **plan,
     }
     return PlanReport(
         n_exact=None,
@@ -677,93 +776,6 @@ def n_star_score(
         regime=REGIME_SCORE_RATE,
         q_value=q,
         diagnostics=diagnostics,
-    )
-
-
-# ---------------------------------------------------------------------------
-# squared-difference transform (the scale side of the rejection rule)
-
-
-def make_psi_model(name: str, **params: float) -> PsiModel:
-    """Psi model (log mgf of (X - Y)^2 / 2) for a built-in family."""
-    if name == "normal":
-        sigma = params.get("sigma", 1.0)
-        if not sigma > 0.0:
-            raise ValueError(f"sigma must be positive, got {sigma!r}")
-        s2 = sigma * sigma
-        sup = 0.5 / s2
-
-        def psi(t: float) -> float:
-            _check_below(t, sup)
-            return -0.5 * math.log1p(-2.0 * s2 * t)
-
-        def psi1(t: float) -> float:
-            _check_below(t, sup)
-            return s2 / (1.0 - 2.0 * s2 * t)
-
-        return PsiModel(
-            psi_fn=psi,
-            psi_d1=psi1,
-            sigma2=s2,
-            domain_sup=sup,
-            family_tag=f"normal(sigma={sigma:g})",
-        )
-    if name == "uniform":
-        width = params.get("width", 1.0)
-        if not width > 0.0:
-            raise ValueError(f"width must be positive, got {width!r}")
-        w = width
-
-        # X - Y is triangular on [-w, w]; by symmetry integrate v in (0, w)
-        # with density (2/w)(1 - v/w)
-        def _mgf_moment(t: float, power: int) -> float:
-            val, err = integrate.quad(
-                lambda v: (v * v / 2.0) ** power
-                * math.exp(t * v * v / 2.0)
-                * (1.0 - v / w),
-                0.0,
-                w,
-                epsabs=1e-12,
-                epsrel=1e-12,
-                limit=200,
-            )
-            if err > 1e-9 * max(1.0, abs(val)):
-                raise QuadratureError(
-                    f"squared-difference transform did not converge at t={t!r}"
-                )
-            return val * 2.0 / w
-
-        def psi(t: float) -> float:
-            return math.log(_mgf_moment(t, 0))
-
-        def psi1(t: float) -> float:
-            return _mgf_moment(t, 1) / _mgf_moment(t, 0)
-
-        return PsiModel(
-            psi_fn=psi,
-            psi_d1=psi1,
-            sigma2=w * w / 12.0,
-            domain_sup=math.inf,
-            family_tag=f"uniform(width={width:g})",
-        )
-    raise UnsupportedFamilyError(
-        f"no built-in squared-difference transform for family {name!r}"
-    )
-
-
-def eta_psi(model: PsiModel, u: float) -> float:
-    """Tilt eta solving Psi'(eta) = u for a slope 0 < u < sigma2.
-
-    The root is negative (Psi'(0) = E (X - Y)^2 / 2 = sigma2 exceeds u) and
-    u * eta -> -(lam + 1)/2 as u -> 0 for tail index lam, so the hint scales
-    like -1/(2u).
-    """
-    if not 0.0 < u < model.sigma2:
-        raise ValueError(
-            f"slope must be in (0, sigma2) = (0, {model.sigma2!r}), got {u!r}"
-        )
-    return find_root_increasing(
-        model.psi_d1, u, bracket_hint=-0.5 / u, lo=-math.inf, hi=0.0
     )
 
 

@@ -27,7 +27,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .ldp_engine import CgfModel, EULER_GAMMA, legendre
+from .ldp_engine import FAMILIES, SCORE_FAMILIES, SHIFT_FAMILIES, CgfModel, legendre
 
 __all__ = [
     "ThresholdSchedule",
@@ -45,9 +45,6 @@ __all__ = [
 ]
 
 THREADS_ENV_VAR = "PFDR_SIZER_THREADS"
-
-SHIFT_FAMILIES = ("normal", "uniform", "gamma")
-SCORE_FAMILIES = ("normal-score", "cauchy-score", "gamma-score")
 
 # trials per RNG block; fixed so the stream layout (hence the result) does
 # not depend on how many threads execute the blocks
@@ -117,7 +114,8 @@ class SimScenario:
     families the effect adds to the data mean; for score families it is the
     location shift of the underlying observation, pushed through the score
     transform.  trials counts batches for simulate_pfdr and individual
-    statistics for tail_ratio_mc.
+    statistics for tail_ratio_mc.  family is a key of ldp_engine.FAMILIES,
+    whose defaults fill the params left out.
     """
 
     family: str
@@ -131,7 +129,7 @@ class SimScenario:
     params: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.family not in SHIFT_FAMILIES + SCORE_FAMILIES:
+        if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if not self.effect >= 0.0:
             raise ValueError(f"effect must be >= 0, got {self.effect!r}")
@@ -143,8 +141,7 @@ class SimScenario:
             raise ValueError(f"trials must be >= 1, got {self.trials!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed!r}")
-        if self.family == "gamma" and "shape" not in self.params:
-            raise ValueError("gamma family requires params['shape']")
+        FAMILIES[self.family].kwargs(self.params)  # a required one missing raises
 
 
 @dataclass(frozen=True)
@@ -171,75 +168,6 @@ class TailRatioResult:
 def _rng_for(seed: int, block: int) -> np.random.Generator:
     key = np.array([seed, block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _pair_scale(obs: np.ndarray) -> np.ndarray:
-    # S = sqrt((1/2m) sum over pairs of squared differences)
-    d = obs[:, 0::2] - obs[:, 1::2]
-    return np.sqrt(0.5 * np.mean(d * d, axis=1))
-
-
-def _stat_pair(
-    rng: np.random.Generator,
-    family: str,
-    params: dict[str, float],
-    size: int,
-    n: int,
-    m: int,
-    effect: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Draw size statistics; return (xbar0, s0, xbar1, s1).
-
-    The 0-parts are under the true null, the 1-parts are the same underlying
-    draws with the effect applied (common random numbers).  For shift
-    families s1 is s0 itself: pair differences cancel a mean shift.
-    """
-    if family in SHIFT_FAMILIES:
-        if family == "normal":
-            sigma = params.get("sigma", 1.0)
-            xbar0 = sigma * rng.standard_normal((size, n)).mean(axis=1)
-            s0 = sigma * _pair_scale(rng.standard_normal((size, 2 * m)))
-        elif family == "uniform":
-            width = params.get("width", 1.0)
-            xbar0 = width * (rng.random((size, n)) - 0.5).mean(axis=1)
-            s0 = width * _pair_scale(rng.random((size, 2 * m)))
-        else:
-            shape = params["shape"]
-            scale = params.get("scale", 1.0)
-            xbar0 = scale * (rng.standard_gamma(shape, (size, n)) - shape).mean(axis=1)
-            s0 = scale * _pair_scale(rng.standard_gamma(shape, (size, 2 * m)))
-        return xbar0, s0, xbar0 + effect, s0
-
-    if family == "normal-score":
-        sigma = params.get("sigma", 1.0)
-        xbar0 = rng.standard_normal((size, n)).mean(axis=1) / sigma
-        s0 = _pair_scale(rng.standard_normal((size, 2 * m))) / sigma
-        return xbar0, s0, xbar0 + effect / (sigma * sigma), s0
-
-    if family == "cauchy-score":
-        w = rng.standard_cauchy((size, n))
-        xbar0 = _cauchy_score(w).mean(axis=1)
-        xbar1 = _cauchy_score(w + effect).mean(axis=1)
-        w2 = rng.standard_cauchy((size, 2 * m))
-        s0 = _pair_scale(_cauchy_score(w2))
-        s1 = _pair_scale(_cauchy_score(w2 + effect))
-        return xbar0, s0, xbar1, s1
-
-    # gamma-score: unit-rate exponential data; a location shift of size
-    # theta adds an independent Gamma(theta) by shape additivity
-    w = rng.standard_exponential((size, n))
-    g = rng.standard_gamma(effect, (size, n)) if effect > 0.0 else 0.0
-    xbar0 = (np.log(w) + EULER_GAMMA).mean(axis=1)
-    xbar1 = (np.log(w + g) + EULER_GAMMA).mean(axis=1)
-    w2 = rng.standard_exponential((size, 2 * m))
-    g2 = rng.standard_gamma(effect, (size, 2 * m)) if effect > 0.0 else 0.0
-    s0 = _pair_scale(np.log(w2) + EULER_GAMMA)
-    s1 = _pair_scale(np.log(w2 + g2) + EULER_GAMMA)
-    return xbar0, s0, xbar1, s1
-
-
-def _cauchy_score(w: np.ndarray) -> np.ndarray:
-    return 2.0 * w / (1.0 + w * w)
 
 
 def _thread_count() -> int:
@@ -281,13 +209,14 @@ def simulate_pfdr(
     if batch_nulls < 1:
         raise ValueError(f"batch_nulls must be >= 1, got {batch_nulls!r}")
     z = scenario.schedule.z_at(scenario.n + scenario.m)
-    fam, params = scenario.family, scenario.params
+    family = FAMILIES[scenario.family]
+    params = family.kwargs(scenario.params)
     n, m, effect = scenario.n, scenario.m, scenario.effect
 
     def one_batch(idx: int) -> tuple[int, int]:
         rng = _rng_for(scenario.seed, idx)
         theta = rng.random(batch_nulls) < scenario.pi
-        xbar0, s0, xbar1, s1 = _stat_pair(rng, fam, params, batch_nulls, n, m, effect)
+        xbar0, s0, xbar1, s1 = family.sample(rng, batch_nulls, n, m, effect, **params)
         xbar = np.where(theta, xbar1, xbar0)
         s = np.where(theta, s1, s0)
         reject = xbar >= z * s
@@ -334,7 +263,8 @@ def tail_ratio_mc(
     n_total = scenario.n + scenario.m
     d = t_target / n_total
     z = scenario.schedule.z_at(n_total)
-    fam, params = scenario.family, scenario.params
+    family = FAMILIES[scenario.family]
+    params = family.kwargs(scenario.params)
     n, m = scenario.n, scenario.m
     trials = scenario.trials
 
@@ -343,7 +273,7 @@ def tail_ratio_mc(
     def one_block(idx: int) -> tuple[int, int, int]:
         size = min(_TAIL_BLOCK, trials - idx * _TAIL_BLOCK)
         rng = _rng_for(scenario.seed, idx)
-        xbar0, s0, xbar1, s1 = _stat_pair(rng, fam, params, size, n, m, d)
+        xbar0, s0, xbar1, s1 = family.sample(rng, size, n, m, d, **params)
         hit_num = xbar1 >= z * s1
         hit_den = xbar0 >= z * s0
         return (

@@ -1,8 +1,8 @@
 """Shared numeric primitives.
 
-Thin wrappers around the special functions the planners need (with explicit
-domain checks), a safeguarded summator for positive series given by their log
-terms, and a monotone root finder that grows its own bracket.
+digamma with an explicit domain check, a safeguarded summator for positive
+series given by their log terms, and a monotone root finder that grows its
+own bracket.
 
 The series summator is the workhorse: every likelihood-ratio supremum in this
 package is a Poisson-type series whose terms rise to a single mode and then
@@ -25,9 +25,7 @@ __all__ = [
     "SeriesDivergenceError",
     "RootRangeError",
     "RootBracketError",
-    "log_gamma",
     "digamma",
-    "bessel_i0_log",
     "sum_series",
     "log_sum_series",
     "find_root_increasing",
@@ -75,28 +73,11 @@ class SeriesPolicy:
 DEFAULT_SERIES_POLICY = SeriesPolicy()
 
 
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function on the positive half line."""
-    if not x > 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x!r}")
-    return math.lgamma(x)
-
-
 def digamma(x: float) -> float:
     """Logarithmic derivative of the gamma function on the positive half line."""
     if not x > 0.0:
         raise ValueError(f"digamma requires x > 0, got {x!r}")
     return float(special.digamma(x))
-
-
-def bessel_i0_log(t: float) -> float:
-    """log I0(t) for the modified Bessel function of order zero.
-
-    Even in t; computed via the exponentially scaled Bessel function so that
-    arguments far beyond the overflow point of I0 itself stay finite.
-    """
-    u = abs(t)
-    return u + math.log(float(special.i0e(u)))
 
 
 def _accumulate(

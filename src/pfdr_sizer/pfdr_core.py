@@ -100,11 +100,10 @@ class LrSupCurve:
 
     eval(n) must return rho_n >= 1 for integer n >= 1.  The curve is assumed
     nondecreasing in n; min_n_search verifies that assumption on the points
-    it actually evaluates and records the outcome in monotone_checked.
+    it actually evaluates and reports the outcome in its diagnostics.
     """
 
     eval: Callable[[int], float]
-    monotone_checked: bool = False
 
 
 @dataclass(frozen=True)
@@ -144,16 +143,13 @@ def min_n_search(
     curve: LrSupCurve,
     target: PfdrTarget,
     n_max: int = DEFAULT_N_MAX,
-    *,
-    linear_scan: bool = False,
 ) -> PlanReport:
     """Smallest integer n with rho_n >= Q(alpha, pi).
 
     Brackets the crossing by doubling n, then bisects; every evaluated point
     is cached and checked for monotonicity afterwards.  If the check fails,
     the result is recomputed by a linear scan from n = 1 (correct for any
-    curve) and the curve's monotone_checked flag is left False.  Pass
-    linear_scan=True to skip the bracketing entirely.
+    curve) and the diagnostic monotone_checked is 0.
 
     Raises NotAttainableError when rho_{n_max} < Q.
     """
@@ -174,22 +170,16 @@ def min_n_search(
             cache[n] = v
         return v
 
-    if linear_scan:
+    n_star = _bracketed_search(rho, q, n_max)
+    crossing_ok = rho(n_star) >= q and (n_star == 1 or rho(n_star - 1) < q)
+    monotone_checked = crossing_ok and _cache_is_monotone(cache)
+    if not monotone_checked:
+        cache.clear()
         n_star = _linear_scan(rho, q, n_max)
-        curve.monotone_checked = _cache_is_monotone(cache)
-    else:
-        n_star = _bracketed_search(rho, q, n_max)
-        crossing_ok = rho(n_star) >= q and (n_star == 1 or rho(n_star - 1) < q)
-        if crossing_ok and _cache_is_monotone(cache):
-            curve.monotone_checked = True
-        else:
-            cache.clear()
-            n_star = _linear_scan(rho, q, n_max)
-            curve.monotone_checked = False
 
     diagnostics = {
         "rho_at_n_exact": rho(n_star),
-        "monotone_checked": 1.0 if curve.monotone_checked else 0.0,
+        "monotone_checked": 1.0 if monotone_checked else 0.0,
     }
     if n_star > 1:
         diagnostics["rho_below_n_exact"] = rho(n_star - 1)

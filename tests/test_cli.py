@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from pfdr_sizer.cli import main, parse_config
@@ -225,6 +226,40 @@ class TestFailureStatuses:
         )
         assert code == 1
         assert json.loads(out)["status"] == "degenerate-scenario"
+
+
+    def test_root_bracket_failure_exit_one(self, capsys, tmp_path):
+        # an empirical cgf has a finite domain, and at rho = 0.9999 the tilt
+        # root lies beyond it
+        sample = tmp_path / "gamma.txt"
+        np.savetxt(sample, np.random.default_rng(5).gamma(2.0, size=2000))
+        code, out, err = _run(
+            capsys,
+            [
+                "plan-general", "--alpha", "0.05", "--pi", "0.1",
+                "--family", "empirical", "--sample-file", str(sample),
+                "--effect", "0.3", "--rho", "0.9999",
+            ],
+        )
+        assert (code, err) == (1, "")
+        report = json.loads(out)
+        assert report["status"] == "root-not-bracketed"
+        assert report["outputs"] == {}
+        assert "domain boundary" in report["diagnostics"]["message"]
+
+    def test_series_divergence_exit_one(self, capsys):
+        code, out, err = _run(
+            capsys,
+            [
+                "plan-f", "--alpha", "0.05", "--pi", "0.1", "--delta", "1",
+                "--p", "3000000",
+            ],
+        )
+        assert (code, err) == (1, "")
+        report = json.loads(out)
+        assert report["status"] == "series-diverged"
+        assert report["outputs"] == {}
+        assert "no truncation" in report["diagnostics"]["message"]
 
 
 class TestUsageErrors:

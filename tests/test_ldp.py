@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from scipy import integrate
 
 import oracles
+from pfdr_sizer import ldp_engine
 from pfdr_sizer.ldp_engine import (
     EULER_GAMMA,
     QuadratureError,
@@ -12,12 +14,10 @@ from pfdr_sizer.ldp_engine import (
     TailIndex,
     UnsupportedFamilyError,
     empirical_cgf,
-    eta_psi,
     gamma_score_density,
     k_f,
     legendre,
     make_family,
-    make_psi_model,
     make_score_model,
     n_star_general,
     n_star_score,
@@ -373,42 +373,6 @@ class TestPfdrFloor:
         assert pfdr_floor_limit(0.1, 0.5, 1e6, 1.0) == pytest.approx(0.0, abs=1e-300)
 
 
-class TestPsi:
-    def test_normal_value(self):
-        model = make_psi_model("normal", sigma=1.0)
-        assert model.psi_fn(-1.0) == pytest.approx(-0.5 * math.log(3.0), rel=1e-12)
-
-    def test_normal_eta_closed_form(self):
-        model = make_psi_model("normal", sigma=1.0)
-        for u in [1e-2, 0.3, 0.9]:
-            expected = (u - 1.0) / (2.0 * u)
-            assert eta_psi(model, u) == pytest.approx(expected, rel=1e-10)
-
-    @pytest.mark.parametrize(
-        "family,kwargs", [("normal", {"sigma": 1.0}), ("uniform", {"width": 2.0})]
-    )
-    def test_small_u_scaling_limit(self, family, kwargs):
-        # u * eta(u) approaches -1/2 from above as u -> 0
-        model = make_psi_model(family, **kwargs)
-        gaps = []
-        for u in [1e-2, 1e-3, 1e-4]:
-            prod = u * eta_psi(model, u)
-            gaps.append(abs(prod + 0.5))
-        assert gaps[0] > gaps[1] > gaps[2]
-        assert gaps[-1] < 0.05 * 0.5
-
-    def test_u_domain(self):
-        model = make_psi_model("normal", sigma=1.0)
-        with pytest.raises(ValueError):
-            eta_psi(model, 0.0)
-        with pytest.raises(ValueError):
-            eta_psi(model, 1.0)  # sigma^2 = 1 is the supremum
-
-    def test_unsupported(self):
-        with pytest.raises(UnsupportedFamilyError):
-            make_psi_model("gamma", shape=1.0)
-
-
 class TestEmpiricalCgf:
     def test_matches_normal_on_large_sample(self):
         sample = RNG.standard_normal(100_000)
@@ -514,3 +478,49 @@ class TestFamilies:
         below = cgf.lambda_d1(seam * (1.0 - 1e-9))
         above = cgf.lambda_d1(seam * (1.0 + 1e-9))
         assert below == pytest.approx(above, rel=1e-7)
+
+
+# off-default values, so a sampler that ignores a parameter fails; a new
+# required parameter needs a value here
+PARAM_VALUES = {"sigma": 1.7, "width": 2.5, "shape": 1.5, "scale": 0.6}
+
+
+class TestFamilyRegistry:
+    def test_kinds_partition_the_registry(self):
+        assert ldp_engine.SHIFT_FAMILIES + ldp_engine.SCORE_FAMILIES == tuple(
+            ldp_engine.FAMILIES
+        )
+
+    @pytest.mark.parametrize("name", list(ldp_engine.FAMILIES))
+    def test_params_match_model_and_sampler(self, name):
+        family = ldp_engine.FAMILIES[name]
+        model_params = inspect.signature(family.model).parameters
+        assert list(model_params) == list(family.params)
+        for key, default in family.params.items():
+            declared = model_params[key].default
+            assert declared == (inspect.Parameter.empty if default is None else default)
+        # sample(rng, size, n, m, effect, **params)
+        assert list(inspect.signature(family.sample).parameters)[5:] == list(
+            family.params
+        )
+
+    @pytest.mark.parametrize("name", list(ldp_engine.FAMILIES))
+    def test_sampler_moments_match_cgf(self, name):
+        # at n = m = 1 the mean is one observation and S^2 = (Y1 - Y2)^2 / 2,
+        # so under the null both have variance, resp. mean, Lambda''(0)
+        family = ldp_engine.FAMILIES[name]
+        kwargs = {key: PARAM_VALUES.get(key, d) for key, d in family.params.items()}
+        model = family.model(**kwargs)
+        cgf = model.cgf if family.kind == "score" else model[0]
+        curvature = cgf.lambda_d2(0.0)
+        size = 200_000
+        rng = np.random.default_rng(4321)
+        xbar0, s0, _, s1 = family.sample(rng, size, 1, 1, 0.3, **kwargs)
+        assert abs(xbar0.mean()) <= 5.0 * xbar0.std() / math.sqrt(size)
+        dev2 = (xbar0 - xbar0.mean()) ** 2
+        var_se = math.sqrt((np.mean(dev2**2) - np.mean(dev2) ** 2) / size)
+        assert abs(np.mean(dev2) - curvature) <= 5.0 * var_se
+        s2 = s0 * s0
+        assert abs(s2.mean() - curvature) <= 5.0 * s2.std() / math.sqrt(size)
+        if family.kind == "shift":
+            assert s1 is s0

@@ -122,6 +122,51 @@ class TestDeterminism:
                 os.environ[THREADS_ENV_VAR] = old
 
 
+# Exact counts at seed 2027 for every family, recorded before the samplers
+# moved into the family registry: ((hits_num, hits_den, hits_joint) of
+# tail_ratio_mc, (rejections, false_rejections) of simulate_pfdr).  They pin
+# the random-stream layout, so any change to it has to be made on purpose.
+PINNED_COUNTS = {
+    "normal": ((6215, 3139, 3139), (1764, 1024)),
+    "uniform": ((9078, 3108, 3108), (2178, 1051)),
+    "gamma": ((7693, 3410, 3410), (2027, 1071)),
+    "normal-score": ((5065, 3139, 3139), (1585, 1024)),
+    "cauchy-score": ((5297, 3091, 2953), (1587, 1018)),
+    "gamma-score": ((8041, 3452, 3356), (2061, 1109)),
+}
+PINNED_PARAMS = {
+    "normal": {},
+    "uniform": {"width": 2.0},
+    "gamma": {"shape": 2.0, "scale": 0.5},
+    "normal-score": {"sigma": 1.5},
+    "cauchy-score": {},
+    "gamma-score": {},
+}
+
+
+class TestStreamLayout:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("family", list(PINNED_COUNTS))
+    def test_pinned_counts(self, family, threads, monkeypatch):
+        monkeypatch.setenv(THREADS_ENV_VAR, threads)
+        common = dict(
+            family=family, n=4, m=3, schedule=_fixed(0.6), seed=2027,
+            params=PINNED_PARAMS[family],
+        )
+        # 20,000 trials span two RNG blocks, 4 batches span four
+        ratio = tail_ratio_mc(
+            SimScenario(effect=0.0, pi=0.5, trials=20_000, **common), 2.0, min_hits=1
+        )
+        pfdr = simulate_pfdr(
+            SimScenario(effect=0.5, pi=0.2, trials=4, **common), batch_nulls=2_000
+        )
+        counts = (
+            (ratio.hits_num, ratio.hits_den, ratio.hits_joint),
+            (pfdr.rejections, pfdr.false_rejections),
+        )
+        assert counts == PINNED_COUNTS[family]
+
+
 class TestTailRatio:
     def test_against_exact_t_tails(self):
         # normal data: the Studentized rejection probability is an exact t

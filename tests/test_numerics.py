@@ -4,19 +4,29 @@ import numpy as np
 import pytest
 
 import oracles
+from pfdr_sizer.ldp_engine import cauchy_score_model, gamma_score_model
 from pfdr_sizer.numerics import (
     DEFAULT_SERIES_POLICY,
     RootBracketError,
     RootRangeError,
     SeriesDivergenceError,
     SeriesPolicy,
-    bessel_i0_log,
     digamma,
     find_root_increasing,
-    log_gamma,
     log_sum_series,
     sum_series,
 )
+
+
+def log_gamma(x: float) -> float:
+    # the gamma-score cgf is ln Gamma(1 + t) + EULER_GAMMA t on t > -1
+    t = x - 1.0
+    return gamma_score_model().cgf.lambda_fn(t) - oracles.EULER_GAMMA * t
+
+
+def bessel_i0_log(t: float) -> float:
+    # the Cauchy-score cgf is ln I0(t)
+    return cauchy_score_model().cgf.lambda_fn(t)
 
 
 class TestLogGamma:

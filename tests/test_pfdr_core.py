@@ -60,7 +60,7 @@ def _counting_curve(fn):
         calls["n"] += 1
         return fn(n)
 
-    return LrSupCurve(eval_, monotone_checked=True), calls
+    return LrSupCurve(eval_), calls
 
 
 class TestMinNSearch:
@@ -104,13 +104,6 @@ class TestMinNSearch:
         report = min_n_search(curve, target)
         assert report.n_exact == 3
         assert report.diagnostics["monotone_checked"] == 0.0
-
-    def test_linear_scan_mode(self):
-        table = {1: 1.0, 2: 3.0, 3: 6.0, 4: 2.0}
-        curve = LrSupCurve(lambda n: table.get(n, 10.0))
-        target = PfdrTarget(alpha=0.2, pi=0.5)
-        report = min_n_search(curve, target, linear_scan=True)
-        assert report.n_exact == 3
 
     def test_curve_below_one_rejected(self):
         target = PfdrTarget(alpha=0.2, pi=0.5)
