@@ -45,7 +45,7 @@ from .mc_verify import (
 )
 from .normal_t import SnrEffect, SnrMixture, plan_t, plan_t_mixture
 from .numerics import RootBracketError, SeriesDivergenceError
-from .pfdr_core import NotAttainableError, PfdrTarget
+from .pfdr_core import InvalidRatioError, NotAttainableError, PfdrTarget
 
 __all__ = ["RunConfig", "UsageError", "parse_config", "run", "main", "main_entry"]
 
@@ -345,6 +345,14 @@ def _config_value(value: Any) -> str:
 # execution
 
 
+# numerical faults end as exit-1 statuses that carry the message
+_FAULT_STATUS = {
+    RootBracketError: "root-not-bracketed",
+    SeriesDivergenceError: "series-diverged",
+    InvalidRatioError: "invalid-ratio",
+}
+
+
 def run(config: RunConfig) -> int:
     """Execute a parsed configuration; returns the process exit code."""
     if config.print_effective:
@@ -378,10 +386,9 @@ def run(config: RunConfig) -> int:
             "reject_rate_bound": exc.reject_rate_bound,
         }
         status = "degenerate-scenario"
-    except (RootBracketError, SeriesDivergenceError) as exc:
+    except tuple(_FAULT_STATUS) as exc:
         outputs, diagnostics = {}, {"message": str(exc)}
-        diverged = isinstance(exc, SeriesDivergenceError)
-        status = "series-diverged" if diverged else "root-not-bracketed"
+        status = _FAULT_STATUS[type(exc)]
 
     report = {
         "command": config.command,

@@ -25,13 +25,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
+
+import numpy as np
+from scipy import special
 
 from .numerics import (
     DEFAULT_SERIES_POLICY,
     SeriesPolicy,
     find_root_increasing,
-    log_sum_series,
+    log_sum_rows,
     sum_series,
 )
 from .pfdr_core import LrSupCurve, PfdrTarget, PlanReport, min_n_search
@@ -75,13 +78,30 @@ class FEffect:
             raise ValueError(f"p must be a positive integer, got {self.p!r}")
 
 
-def _log_terms_f(p: int, n: int, log_a: float) -> Iterator[float]:
-    lb = 0.0  # log b_{p,n,k}
-    k = 0
-    while True:
-        yield lb + k * log_a - math.lgamma(k + 1)
-        lb += math.log((n + p + 2.0 * k) / (p + 2.0 * k))
-        k += 1
+def _f_log_terms(p: int, n: int, log_a: float) -> Callable[[int, int], np.ndarray]:
+    """Chunks of log(b_{p,n,k} A^k / k!) for log_sum_rows, as one row.
+
+    log b_{p,n,k} is the running sum of log1p(n / (p + 2j)) over j < k,
+    carried from one chunk to the next.
+    """
+    lb = 0.0  # log b_{p,n,k0} at the start of the next chunk
+
+    def chunk(k0: int, k1: int) -> np.ndarray:
+        nonlocal lb
+        k = np.arange(k0, k1, dtype=float)
+        step = np.log1p(n / (p + 2.0 * k))
+        lbs = np.cumsum(np.concatenate(([lb], step[:-1])))
+        lb = lbs[-1] + step[-1]
+        return (lbs + k * log_a - special.gammaln(k + 1.0))[None, :]
+
+    return chunk
+
+
+def _log_k(p: int, n: int, delta: float, policy: SeriesPolicy) -> float:
+    if delta == 0.0:
+        return 0.0
+    a = 0.5 * (n + p) * delta * delta
+    return -a + float(log_sum_rows(_f_log_terms(p, n, math.log(a)), policy)[0])
 
 
 def log_lr_sup_f(
@@ -89,10 +109,7 @@ def log_lr_sup_f(
 ) -> float:
     """log of lr_sup_f, safe when the ratio exceeds float range."""
     _check_f_args(p, n, delta)
-    if delta == 0.0:
-        return 0.0
-    a = 0.5 * (n + p) * delta * delta
-    return -a + log_sum_series(_log_terms_f(p, n, math.log(a)), policy)
+    return _log_k(p, n, delta, policy)
 
 
 def lr_sup_f(
@@ -101,17 +118,12 @@ def lr_sup_f(
     """Density-ratio supremum K(p, n, delta) of the noncentral F statistic.
 
     Equals 1 at delta = 0, is increasing in delta and in n, and is bounded
-    above by exp((n + p)^2 delta^2 / 2).
+    above by exp((n + p)^2 delta^2 / 2).  Returns inf when the true value
+    overflows, which the curve search tolerates.
     """
     _check_f_args(p, n, delta)
-    if delta == 0.0:
-        return 1.0
-    a = 0.5 * (n + p) * delta * delta
-    scaled = sum_series(_log_terms_f(p, n, math.log(a)), policy)
-    if math.isinf(scaled):
-        log_value = log_lr_sup_f(p, n, delta, policy)
-        return math.inf if log_value >= 709.78 else math.exp(log_value)
-    return math.exp(-a) * scaled
+    log_value = _log_k(p, n, delta, policy)
+    return math.inf if log_value >= 709.78 else math.exp(log_value)
 
 
 def _check_f_args(p: int, n: int, delta: float) -> None:
@@ -126,13 +138,22 @@ def _check_f_args(p: int, n: int, delta: float) -> None:
 def m_p(p: int, t: float, policy: SeriesPolicy = DEFAULT_SERIES_POLICY) -> float:
     """Limit of K along n * delta -> t: an even, increasing-in-|t| transform.
 
-    M_p(t) = sum_k Gamma(p/2) (t^2/4)^k / (k! Gamma(k + p/2)); M_p(0) = 1.
+    M_p(t) = sum_k Gamma(p/2) (t^2/4)^k / (k! Gamma(k + p/2))
+           = 0F1(; p/2; t^2/4);  M_p(0) = 1.
+
+    The closed form comes from scipy (I0 for p = 2, hyp0f1 otherwise); where
+    it returns a value that is not >= 1, the series is summed instead.
     """
     if p < 1:
         raise ValueError(f"p must be a positive integer, got {p!r}")
     u = abs(t)
     if u == 0.0:
         return 1.0
+    # hyp0f1 at p = 2 and t above about 730, where the true value overflows,
+    # returns 0 and prints an ignored ZeroDivisionError; i0 returns inf
+    value = float(special.i0(u) if p == 2 else special.hyp0f1(0.5 * p, 0.25 * u * u))
+    if value >= 1.0:
+        return value
     log_u2_4 = 2.0 * math.log(u) - math.log(4.0)
     lg_p2 = math.lgamma(0.5 * p)
 

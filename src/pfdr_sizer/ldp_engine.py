@@ -110,19 +110,14 @@ class TailIndex:
     """Behavior of the paired-difference density g near zero.
 
     g(v) ~ c |v|^lam as v -> 0 with lam > -1; lam = 0 with finite positive
-    g(0) is the common case.  zeta_kind records whether the slowly varying
-    part is a constant or carries a logarithmic factor (which changes no
-    plan, only its interpretation).
+    g(0) is the common case.
     """
 
     lam: float = 0.0
-    zeta_kind: str = "constant"
 
     def __post_init__(self) -> None:
         if not self.lam > -1.0:
             raise ValueError(f"tail index must be > -1, got {self.lam!r}")
-        if self.zeta_kind not in ("constant", "logarithmic"):
-            raise ValueError(f"unknown zeta_kind {self.zeta_kind!r}")
 
 
 @dataclass(frozen=True)
@@ -273,13 +268,7 @@ def gamma_family(shape: float, scale: float = 1.0) -> tuple[CgfModel, TailIndex]
         domain_sup=sup,
         family_tag=f"gamma(shape={shape:g},scale={scale:g})",
     )
-    if a > 0.5:
-        tail = TailIndex(lam=0.0)
-    elif a == 0.5:
-        tail = TailIndex(lam=0.0, zeta_kind="logarithmic")
-    else:
-        tail = TailIndex(lam=2.0 * a - 1.0)
-    return cgf, tail
+    return cgf, TailIndex(lam=min(0.0, 2.0 * a - 1.0))
 
 
 def _check_below(t: float, sup: float) -> None:
@@ -341,7 +330,7 @@ def cauchy_score_model() -> ScoreModel:
     cgf = CgfModel(
         lambda_fn=lam, lambda_d1=lam1, lambda_d2=lam2, family_tag="cauchy-score"
     )
-    tail = TailIndex(lam=0.0, zeta_kind="logarithmic")
+    tail = TailIndex(lam=0.0)
     return ScoreModel(cgf=cgf, tail=tail, k_f=0.0)
 
 

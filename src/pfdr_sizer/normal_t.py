@@ -14,7 +14,7 @@ found by the generic curve search.  For large n the plan behaves like
 n ~ ln(Q) / r.
 
 Mixtures over r (a prior G on the signal-to-noise ratio, discretized to
-atoms) average L atom by atom, and the large-n plan solves
+atoms) average L over the atoms, and the large-n plan solves
 E_G[exp(a R)] = Q for the rate a.
 """
 
@@ -25,11 +25,13 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
+from scipy import special
 
 from .numerics import (
     DEFAULT_SERIES_POLICY,
     SeriesPolicy,
     find_root_increasing,
+    log_sum_rows,
     log_sum_series,
     sum_series,
 )
@@ -223,16 +225,25 @@ def plan_t(
 def lr_sup_t_mixture(
     n: int, mixture: SnrMixture, policy: SeriesPolicy = DEFAULT_SERIES_POLICY
 ) -> float:
-    """Weighted average of lr_sup_t over the mixture atoms."""
-    logs = [
-        math.log(w) + log_lr_sup_t(n, mixture.scale * r, policy)
-        for r, w in mixture.atoms
-    ]
-    m = max(logs)
-    if math.isinf(m):
-        return math.inf
-    total = sum(math.exp(v - m) for v in logs)
-    out = m + math.log(total)
+    """Weighted average of lr_sup_t over the mixture atoms.
+
+    All atoms are summed together, one row each: the gamma ratios a_{n,k}
+    do not depend on the atom, so each chunk computes them once.
+    """
+    _check_t_args(n, mixture.scale)
+    r, w = np.array(mixture.atoms).T
+    d = math.sqrt(n + 1.0) * mixture.scale * r
+    log_x = (0.5 * math.log(2.0) + np.log(d))[:, None]
+    lg0 = math.lgamma(0.5 * (n + 1))
+
+    def chunk(k0: int, k1: int) -> np.ndarray:
+        k = np.arange(k0, k1, dtype=float)
+        shared = special.gammaln(0.5 * (n + k + 1.0)) - lg0 - special.gammaln(k + 1.0)
+        return shared + k * log_x
+
+    logs = np.log(w) - 0.5 * d * d + log_sum_rows(chunk, policy)
+    m = float(logs.max())
+    out = m + math.log(float(np.exp(logs - m).sum()))
     return math.inf if out >= 709.78 else math.exp(out)
 
 

@@ -1,22 +1,26 @@
 """Shared numeric primitives.
 
-digamma with an explicit domain check, a safeguarded summator for positive
+digamma with an explicit domain check, two safeguarded summators for positive
 series given by their log terms, and a monotone root finder that grows its
 own bracket.
 
-The series summator is the workhorse: every likelihood-ratio supremum in this
-package is a Poisson-type series whose terms rise to a single mode and then
-decay, and whose magnitude can exceed float range.  Summation therefore runs
-against a moving scale factor, with compensated addition, and truncation is
-only allowed once the terms are past their mode.
+The series summators are the workhorse: every likelihood-ratio supremum in
+this package is a Poisson-type series whose terms rise to a single mode and
+then decay, and whose magnitude can exceed float range.  Summation therefore
+runs against a moving scale factor, and truncation is only allowed once the
+terms are past their mode.  sum_series and log_sum_series take one series as
+a Python iterable and add it term by term with compensated addition;
+log_sum_rows sums many series at once, a numpy chunk of terms at a time, in
+the log domain.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
+import numpy as np
 from scipy import optimize, special
 
 __all__ = [
@@ -28,6 +32,7 @@ __all__ = [
     "digamma",
     "sum_series",
     "log_sum_series",
+    "log_sum_rows",
     "find_root_increasing",
 ]
 
@@ -158,6 +163,51 @@ def log_sum_series(
     if total <= 0.0:
         return -math.inf
     return math.log(total) + log_scale
+
+
+# log_sum_rows chunk widths: small first chunks keep short series cheap, and
+# the cap on cells per chunk bounds memory whatever max_terms is
+_FIRST_CHUNK = 64
+_MAX_CHUNK_CELLS = 16384
+
+
+def log_sum_rows(
+    chunk: Callable[[int, int], np.ndarray],
+    policy: SeriesPolicy = DEFAULT_SERIES_POLICY,
+) -> np.ndarray:
+    """Natural logs of the sums of several positive series, one per row.
+
+    chunk(k0, k1) returns the finite log terms k0 <= k < k1 of every series
+    as an array of shape (rows, k1 - k0); it is called with consecutive
+    ranges starting at 0.  Each row is summed against its running maximum
+    log term, so sums beyond float range come back as finite logs.
+
+    The truncation rule is the one sum_series applies, checked at chunk
+    ends: summation stops once, in every row, the terms are past their mode
+    (the last term is below the chunk's largest) and the last term is at
+    most rel_tol times the partial sum.  Chunks double from 64 terms up to
+    16384 cells.  Raises SeriesDivergenceError after max_terms terms.
+    """
+    k0, width = 0, _FIRST_CHUNK
+    top, total = -math.inf, 0.0  # become one entry per row at the first chunk
+    while True:
+        k1 = min(k0 + width, policy.max_terms)
+        lt = chunk(k0, k1)
+        chunk_top = lt.max(axis=1)
+        new_top = np.maximum(top, chunk_top)
+        total = total * np.exp(top - new_top) + np.exp(lt - new_top[:, None]).sum(axis=1)
+        top = new_top
+        last = lt[:, -1]
+        done = (last < chunk_top) & (np.exp(last - top) <= policy.rel_tol * total)
+        if done.all():
+            return top + np.log(total)
+        if k1 == policy.max_terms:
+            raise SeriesDivergenceError(
+                f"no truncation after {policy.max_terms} terms "
+                f"(last log term {last[~done].max():.6g}, rel_tol {policy.rel_tol:g})"
+            )
+        k0 = k1
+        width = min(2 * width, max(_FIRST_CHUNK, _MAX_CHUNK_CELLS // len(lt)))
 
 
 # brentq's minimum relative step; roots are wanted at machine precision

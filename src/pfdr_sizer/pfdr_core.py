@@ -25,6 +25,7 @@ __all__ = [
     "LrSupCurve",
     "PlanReport",
     "NotAttainableError",
+    "InvalidRatioError",
     "q_threshold",
     "min_pfdr",
     "min_n_search",
@@ -49,6 +50,10 @@ class NotAttainableError(RuntimeError):
             f"density-ratio supremum reaches only {rho_at_n_max:.6g} at "
             f"n_max={n_max}, below the required Q={q_value:.6g}"
         )
+
+
+class InvalidRatioError(RuntimeError):
+    """A curve returned a density-ratio supremum below 1: a numerical fault."""
 
 
 @dataclass(frozen=True)
@@ -151,7 +156,8 @@ def min_n_search(
     the result is recomputed by a linear scan from n = 1 (correct for any
     curve) and the diagnostic monotone_checked is 0.
 
-    Raises NotAttainableError when rho_{n_max} < Q.
+    Raises NotAttainableError when rho_{n_max} < Q, and InvalidRatioError
+    when the curve returns a value below 1.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max!r}")
@@ -163,7 +169,7 @@ def min_n_search(
         if v is None:
             v = float(curve.eval(n))
             if not v >= 1.0 - 1e-9:
-                raise ValueError(
+                raise InvalidRatioError(
                     f"curve returned rho_{n} = {v!r}; a density-ratio supremum "
                     "cannot be below 1"
                 )

@@ -4,7 +4,10 @@ Everything here is deliberately written against different formulas (or
 different libraries) than the package itself, so agreement is evidence and
 not tautology.  The heavy oracles are the finite-argument density ratios:
 the package computes suprema by closed series, these compute the underlying
-ratio on a grid and locate the supremum by brute force.
+ratio on a grid and locate the supremum by brute force.  The two series
+oracles are the exception: they sum the package's own series one Python
+term at a time with log_sum_series, so they check the numpy summation and
+its vectorised term recurrences rather than the series formulas.
 """
 
 from __future__ import annotations
@@ -13,6 +16,9 @@ import math
 
 import numpy as np
 from scipy import special, stats
+
+from pfdr_sizer.normal_t import log_lr_sup_t
+from pfdr_sizer.numerics import log_sum_series
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -89,6 +95,34 @@ def brute_force_lr_f(p: int, n: int, delta: float) -> float:
     flat = abs(vals[-1] / vals[-2] - 1.0)
     assert flat < 1e-7, f"ratio not flat at the grid end (rel change {flat:.2e})"
     return float(vals[-1])
+
+
+def log_lr_sup_f_series(p: int, n: int, delta: float) -> float:
+    """log K(p, n, delta) summed term by term in Python.
+
+    This was the package's own F kernel before the numpy summator replaced
+    it: the same series, with log b_{p,n,k} carried as a running sum of
+    log((n + p + 2k) / (p + 2k)) and the terms added by log_sum_series.
+    """
+    a = 0.5 * (n + p) * delta * delta
+    log_a = math.log(a)
+
+    def log_terms():
+        lb = 0.0  # log b_{p,n,k}
+        k = 0
+        while True:
+            yield lb + k * log_a - math.lgamma(k + 1)
+            lb += math.log((n + p + 2.0 * k) / (p + 2.0 * k))
+            k += 1
+
+    return -a + log_sum_series(log_terms())
+
+
+def lr_sup_t_mixture_by_atom(n: int, atoms, scale: float) -> float:
+    """Weighted average of the scalar t kernel, one atom at a time."""
+    logs = [math.log(w) + log_lr_sup_t(n, scale * r) for r, w in atoms]
+    out = float(special.logsumexp(logs))
+    return math.inf if out >= 709.78 else math.exp(out)
 
 
 def m_p_direct(p: int, t: float, k_max: int = 50) -> float:

@@ -259,7 +259,21 @@ class TestFailureStatuses:
         report = json.loads(out)
         assert report["status"] == "series-diverged"
         assert report["outputs"] == {}
-        assert "no truncation" in report["diagnostics"]["message"]
+        message = report["diagnostics"]["message"]
+        assert "no truncation after 1000000 terms" in message
+        assert "last log term" in message
+        assert "rel_tol 1e-14" in message
+
+    def test_ratio_below_one_is_a_fault_not_a_usage_error(self, capsys, monkeypatch):
+        from pfdr_sizer import f_test
+
+        monkeypatch.setattr(f_test, "lr_sup_f", lambda *args, **kwargs: 0.5)
+        code, out, err = _run(capsys, PLAN_F_ARGS)
+        assert (code, err) == (1, "")
+        report = json.loads(out)
+        assert report["status"] == "invalid-ratio"
+        assert report["outputs"] == {}
+        assert "rho_1 = 0.5" in report["diagnostics"]["message"]
 
 
 class TestUsageErrors:

@@ -1,0 +1,120 @@
+"""Property tests of the numpy series kernels against their scalar oracles.
+
+The oracles in oracles.py sum the same series one Python term at a time:
+log_lr_sup_f_series is the F kernel the numpy summator replaced, and
+lr_sup_t_mixture_by_atom averages the scalar t kernel atom by atom.
+"""
+
+import math
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import oracles
+from pfdr_sizer import f_test
+from pfdr_sizer.f_test import log_lr_sup_f, lr_sup_f, m_p
+from pfdr_sizer.normal_t import SnrMixture, lr_sup_t_mixture
+
+EPS = sys.float_info.epsilon
+
+
+def log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+def log_uniform_int(lo: int, hi: int):
+    return log_uniform(lo, hi).map(lambda x: min(hi, max(lo, round(x))))
+
+
+@settings(max_examples=30)
+@given(
+    p=log_uniform_int(1, 100_000),
+    n=log_uniform_int(1, 10_000),
+    delta=log_uniform(1e-3, 2.0),
+)
+@example(p=1, n=5000, delta=1.0)  # K near exp(1700), beyond float range
+@example(p=3, n=5001, delta=1.0)
+@example(p=100_000, n=1, delta=2.0)
+@example(p=100_000, n=2, delta=2.0)
+@example(p=2, n=7, delta=1e-3)
+def test_log_lr_sup_f_matches_series(p, n, delta):
+    expected = oracles.log_lr_sup_f_series(p, n, delta)
+    got = log_lr_sup_f(p, n, delta)
+    # both sides form log terms as differences of numbers near A ln A, so
+    # each carries rounding of about eps A ln A: at p = 1e5, delta = 2 both
+    # are 1e-10 off a 50-digit reference.  Past that they agree to 1e-11.
+    a = 0.5 * (n + p) * delta * delta
+    tol = 1e-11 * max(1.0, abs(expected)) + EPS * a * math.log(max(a, math.e))
+    assert abs(got - expected) <= tol
+
+
+@settings(max_examples=20)
+@given(
+    atoms=st.integers(1, 512),
+    seed=st.integers(0, 2**32 - 1),
+    scale=log_uniform(1e-3, 1.0),
+    n=log_uniform_int(1, 1000),
+)
+@example(atoms=512, seed=1, scale=1.0, n=20)
+@example(atoms=3, seed=1, scale=1.0, n=1000)  # overflows float range
+def test_lr_sup_t_mixture_matches_atom_sum(atoms, seed, scale, n):
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(atoms))
+    pairs = tuple(
+        (float(r), float(w))
+        for r, w in zip(rng.uniform(0.05, 2.0, atoms), weights / weights.sum())
+    )
+    got = lr_sup_t_mixture(n, SnrMixture(atoms=pairs, scale=scale))
+    expected = oracles.lr_sup_t_mixture_by_atom(n, pairs, scale)
+    if math.isinf(expected):
+        assert got == math.inf
+    else:
+        assert got == pytest.approx(expected, rel=1e-11)
+
+
+@given(
+    p=st.one_of(st.just(2), log_uniform_int(1, 100_000)),
+    t=st.floats(0.0, 1e6),
+    factor=st.floats(1.0, 10.0),
+)
+@example(p=2, t=1000.0, factor=1.0)
+@example(p=2, t=700.0, factor=1.5)
+def test_m_p_at_least_one_and_nondecreasing(p, t, factor):
+    low, high = m_p(p, t), m_p(p, -t * factor)
+    assert low >= 1.0
+    assert high >= low
+
+
+def test_m_p_falls_back_to_series(monkeypatch):
+    monkeypatch.setattr(f_test.special, "hyp0f1", lambda b, z: 0.0)
+    assert m_p(4, 3.0) == pytest.approx(oracles.m_p_direct(4, 3.0), rel=1e-13)
+
+
+# relative slack of the monotonicity checks, the same round-off allowance
+# min_n_search gives the curves it evaluates
+SLACK = 1e-12
+
+
+@given(
+    p=log_uniform_int(1, 100_000),
+    n=log_uniform_int(1, 2000),
+    step=st.integers(1, 1000),
+    delta=log_uniform(1e-3, 2.0),
+)
+def test_lr_sup_f_nondecreasing_in_n(p, n, step, delta):
+    low, high = lr_sup_f(p, n, delta), lr_sup_f(p, n + step, delta)
+    assert high >= low * (1.0 - SLACK)
+
+
+@given(
+    p=log_uniform_int(1, 100_000),
+    n=log_uniform_int(1, 2000),
+    delta=log_uniform(1e-3, 1.0),
+    factor=st.floats(1.0, 2.0),
+)
+def test_lr_sup_f_nondecreasing_in_delta(p, n, delta, factor):
+    low, high = lr_sup_f(p, n, delta), lr_sup_f(p, n, delta * factor)
+    assert high >= low * (1.0 - SLACK)

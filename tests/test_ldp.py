@@ -184,7 +184,6 @@ class TestSolveT0:
         # shapes below one half thin the paired-difference density at zero
         assert make_family("gamma", shape=0.3, scale=1.0)[1].lam == pytest.approx(-0.4)
         assert make_family("gamma", shape=0.5, scale=1.0)[1].lam == 0.0
-        assert make_family("gamma", shape=0.5, scale=1.0)[1].zeta_kind == "logarithmic"
         assert make_family("gamma", shape=4.0, scale=1.0)[1].lam == 0.0
 
     def test_uniform_solves_its_equation(self):

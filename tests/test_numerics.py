@@ -13,6 +13,7 @@ from pfdr_sizer.numerics import (
     SeriesPolicy,
     digamma,
     find_root_increasing,
+    log_sum_rows,
     log_sum_series,
     sum_series,
 )
@@ -180,6 +181,62 @@ class TestSumSeries:
         # boundary values are allowed
         SeriesPolicy(rel_tol=1e-6, max_terms=1000)
         assert DEFAULT_SERIES_POLICY.rel_tol == 1e-14
+
+
+def _poisson_rows(lams, widths=None):
+    """Chunk function of Poisson log terms, one row per rate; records widths."""
+    log_lams = np.log(np.asarray(lams, dtype=float))[:, None]
+
+    def chunk(k0, k1):
+        if widths is not None:
+            widths.append(k1 - k0)
+        k = np.arange(k0, k1, dtype=float)
+        return k * log_lams - np.array([math.lgamma(v + 1.0) for v in k])
+
+    return chunk
+
+
+class TestLogSumRows:
+    def test_poisson_normalizers(self):
+        # sum_k lam^k / k! = e^lam, also far beyond float range
+        lams = [0.1, 1.0, 10.0, 100.0, 800.0, 5000.0]
+        got = log_sum_rows(_poisson_rows(lams))
+        assert got == pytest.approx(lams, rel=1e-13)
+
+    def test_matches_scalar_summator(self):
+        for lam in [0.5, 30.0, 400.0]:
+            (got,) = log_sum_rows(_poisson_rows([lam]))
+            assert got == pytest.approx(
+                log_sum_series(_poisson_log_terms(lam)), rel=1e-14
+            )
+
+    def test_rows_stop_together_past_every_mode(self):
+        widths = []
+        got = log_sum_rows(_poisson_rows([1.0, 3000.0], widths))
+        # the row with its mode near 3000 keeps the small row going too
+        assert sum(widths) > 3000
+        assert got == pytest.approx([1.0, 3000.0], rel=1e-13)
+
+    def test_chunks_double_up_to_a_cell_budget(self):
+        for rows in (1, 3, 512):
+            widths = []
+            policy = SeriesPolicy(max_terms=50_000)
+            with pytest.raises(SeriesDivergenceError):
+                log_sum_rows(_poisson_rows([1e6] * rows, widths), policy)
+            assert widths[0] == 64
+            assert sum(widths) == 50_000
+            assert max(widths) == max(64, 16384 // rows)
+            for a, b in zip(widths, widths[1:-1]):
+                assert b == min(2 * a, max(64, 16384 // rows))
+
+    def test_divergence_message_names_last_term_and_tolerance(self):
+        policy = SeriesPolicy(rel_tol=1e-14, max_terms=1000)
+        growing = lambda k0, k1: 0.1 * np.arange(k0, k1, dtype=float)[None, :]
+        with pytest.raises(SeriesDivergenceError) as info:
+            log_sum_rows(growing, policy)
+        assert "no truncation after 1000 terms" in str(info.value)
+        assert "last log term 99.9" in str(info.value)
+        assert "rel_tol 1e-14" in str(info.value)
 
 
 class TestFindRootIncreasing:

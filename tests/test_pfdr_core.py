@@ -4,6 +4,7 @@ import pytest
 
 from pfdr_sizer.pfdr_core import (
     DEFAULT_N_MAX,
+    InvalidRatioError,
     LrSupCurve,
     NotAttainableError,
     PfdrTarget,
@@ -108,8 +109,10 @@ class TestMinNSearch:
     def test_curve_below_one_rejected(self):
         target = PfdrTarget(alpha=0.2, pi=0.5)
         curve = LrSupCurve(lambda n: 0.5)
-        with pytest.raises(ValueError):
+        # a numerical fault, so not a ValueError the CLI would call a usage error
+        with pytest.raises(InvalidRatioError) as info:
             min_n_search(curve, target)
+        assert not isinstance(info.value, ValueError)
 
     def test_diagnostics_shape(self):
         target = PfdrTarget(alpha=0.05, pi=0.1)
