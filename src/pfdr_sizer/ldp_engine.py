@@ -382,6 +382,25 @@ def gamma_score_density(x: float) -> float:
 # true null, the 1-parts are the same underlying draws with the effect
 # applied (common random numbers).  For shift families s1 is s0 itself:
 # pair differences cancel a mean shift.
+#
+# The normal families draw the statistics from their exact laws: xbar is
+# N(0, sigma^2 / n), and independently m S^2 / sigma^2 is chi-square with m
+# degrees of freedom, since each pair difference is N(0, 2 sigma^2).  Gamma
+# draws its mean as one Gamma(n * shape), the law of a sum of n
+# Gamma(shape) draws.  The other samplers draw raw observations.
+
+# cap on the cells of one (size, columns) float64 array of raw draws, 1 GiB;
+# a sampler builds several such arrays, so larger blocks are refused
+MAX_DRAW_CELLS = 2**27
+
+
+def _check_cells(size: int, columns: int) -> None:
+    if size * columns > MAX_DRAW_CELLS:
+        raise ValueError(
+            f"{size} statistics of {columns} raw draws each exceed the cap of "
+            f"MAX_DRAW_CELLS = {MAX_DRAW_CELLS} cells per block; lower n, m "
+            "or the statistics per block (batch_nulls in simulate_pfdr)"
+        )
 
 
 def _pair_scale(obs: np.ndarray) -> np.ndarray:
@@ -391,26 +410,28 @@ def _pair_scale(obs: np.ndarray) -> np.ndarray:
 
 
 def _sample_normal(rng, size, n, m, effect, sigma):
-    xbar0 = sigma * rng.standard_normal((size, n)).mean(axis=1)
-    s0 = sigma * _pair_scale(rng.standard_normal((size, 2 * m)))
+    xbar0 = sigma / math.sqrt(n) * rng.standard_normal(size)
+    s0 = sigma * np.sqrt(rng.chisquare(m, size) / m)
     return xbar0, s0, xbar0 + effect, s0
 
 
 def _sample_uniform(rng, size, n, m, effect, width):
+    _check_cells(size, max(n, 2 * m))
     xbar0 = width * (rng.random((size, n)) - 0.5).mean(axis=1)
     s0 = width * _pair_scale(rng.random((size, 2 * m)))
     return xbar0, s0, xbar0 + effect, s0
 
 
 def _sample_gamma(rng, size, n, m, effect, shape, scale):
-    xbar0 = scale * (rng.standard_gamma(shape, (size, n)) - shape).mean(axis=1)
+    _check_cells(size, 2 * m)
+    xbar0 = scale * (rng.standard_gamma(n * shape, size) / n - shape)
     s0 = scale * _pair_scale(rng.standard_gamma(shape, (size, 2 * m)))
     return xbar0, s0, xbar0 + effect, s0
 
 
 def _sample_normal_score(rng, size, n, m, effect, sigma):
-    xbar0 = rng.standard_normal((size, n)).mean(axis=1) / sigma
-    s0 = _pair_scale(rng.standard_normal((size, 2 * m))) / sigma
+    xbar0 = rng.standard_normal(size) / (sigma * math.sqrt(n))
+    s0 = np.sqrt(rng.chisquare(m, size) / m) / sigma
     return xbar0, s0, xbar0 + effect / (sigma * sigma), s0
 
 
@@ -419,6 +440,7 @@ def _cauchy_score(w: np.ndarray) -> np.ndarray:
 
 
 def _sample_cauchy_score(rng, size, n, m, effect):
+    _check_cells(size, max(n, 2 * m))
     w = rng.standard_cauchy((size, n))
     xbar0 = _cauchy_score(w).mean(axis=1)
     xbar1 = _cauchy_score(w + effect).mean(axis=1)
@@ -431,6 +453,7 @@ def _sample_cauchy_score(rng, size, n, m, effect):
 def _sample_gamma_score(rng, size, n, m, effect):
     # unit-rate exponential data; a location shift of size theta adds an
     # independent Gamma(theta) by shape additivity
+    _check_cells(size, max(n, 2 * m))
     w = rng.standard_exponential((size, n))
     g = rng.standard_gamma(effect, (size, n)) if effect > 0.0 else 0.0
     xbar0 = (np.log(w) + EULER_GAMMA).mean(axis=1)

@@ -12,6 +12,14 @@ the mean reaches z * S.  Two estimators are provided:
     which is the finite-sample quantity whose large-N growth the planners'
     rate formulas describe.
 
+Each family's sampler comes from ldp_engine.FAMILIES.  The normal families
+draw the two statistics from their exact laws, xbar ~ N(0, sigma^2 / n) and
+m S^2 / sigma^2 ~ chi^2_m, so a null costs two draws whatever n and m are;
+gamma draws its mean as one Gamma(n * shape), the law of a sum of n
+Gamma(shape) draws, and its scale from 2m raw observations.  The other
+families draw all n + 2m raw observations, and a block whose raw draws would
+pass ldp_engine.MAX_DRAW_CELLS cells is refused with ValueError.
+
 Streams are counter-based and keyed by (seed, block index), so results are
 bit-identical across repeat runs and across thread counts; the thread pool
 size comes from the PFDR_SIZER_THREADS environment variable.

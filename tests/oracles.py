@@ -180,6 +180,23 @@ def studentized_tail_ratio_exact(n: int, m: int, z: float, d: float) -> float:
     return float(stats.nct.sf(a, m, nc) / stats.t.sf(a, m))
 
 
+def studentized_pfdr_exact(n: int, m: int, z: float, d: float, pi: float) -> float:
+    """Batch-mean pFDR E[V/R | R > 0] for normal data, exactly.
+
+    Each null is false with probability pi and rejects with the central t
+    tail p0 = P(T >= z sqrt(n)), T on m degrees of freedom, if true, or the
+    noncentral tail p1 with noncentrality d sqrt(n), d in standard
+    deviations, if false.  Given R = r rejections among independent nulls,
+    each rejection is a true null with probability
+    q = (1 - pi) p0 / ((1 - pi) p0 + pi p1), so V ~ Bin(r, q) and
+    E[V/R | R = r] = q for every r >= 1, whatever the batch size.
+    """
+    a = z * math.sqrt(n)
+    p0 = float(stats.t.sf(a, m))
+    p1 = float(stats.nct.sf(a, m, d * math.sqrt(n)))
+    return (1.0 - pi) * p0 / ((1.0 - pi) * p0 + pi * p1)
+
+
 def studentized_tilt(z: float, rho: float) -> float:
     """Mean of unit-normal data conditioned on rejection at a fixed threshold z.
 

@@ -13,7 +13,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy import stats
 
 import oracles
@@ -191,7 +190,6 @@ def test_acceptance_7_sharp_tail_factor():
     _verdict(7, ok, detail, time.perf_counter() - start, 1.0)
 
 
-@pytest.mark.slow
 def test_acceptance_8_mc_ratio_at_plan_scale():
     start = time.perf_counter()
     n = m = 200
@@ -229,7 +227,6 @@ def test_acceptance_8_mc_ratio_at_plan_scale():
     _verdict(8, ok, detail, time.perf_counter() - start, 300.0)
 
 
-@pytest.mark.slow
 def test_acceptance_9_mc_pfdr_floor():
     start = time.perf_counter()
     n = m = 200

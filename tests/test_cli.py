@@ -288,6 +288,18 @@ class TestUsageErrors:
         assert code == 2
         assert "trials" in err
 
+    def test_raw_draws_above_cap(self, capsys):
+        code, out, err = _run(
+            capsys,
+            [
+                "simulate", "--family", "cauchy-score", "--n", "1000000",
+                "--m", "1000000", "--trials", "2", "--z0", "0.5",
+            ],
+        )
+        assert code == 2
+        assert out == ""
+        assert "MAX_DRAW_CELLS" in err
+
     def test_invalid_alpha(self, capsys):
         code, _, err = _run(
             capsys, ["plan-t", "--alpha", "1.5", "--pi", "0.1", "--snr", "0.1"]

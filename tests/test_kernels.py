@@ -2,7 +2,9 @@
 
 The oracles in oracles.py sum the same series one Python term at a time:
 log_lr_sup_f_series is the F kernel the numpy summator replaced, and
-lr_sup_t_mixture_by_atom averages the scalar t kernel atom by atom.
+lr_sup_t_mixture_by_atom averages the scalar t kernel atom by atom.  The
+last test checks that the planners built on these kernels return the
+smallest n whose density-ratio supremum reaches Q.
 """
 
 import math
@@ -15,8 +17,16 @@ from hypothesis import strategies as st
 
 import oracles
 from pfdr_sizer import f_test
-from pfdr_sizer.f_test import log_lr_sup_f, lr_sup_f, m_p
-from pfdr_sizer.normal_t import SnrMixture, lr_sup_t_mixture
+from pfdr_sizer.f_test import FEffect, log_lr_sup_f, lr_sup_f, m_p, plan_f
+from pfdr_sizer.normal_t import (
+    SnrEffect,
+    SnrMixture,
+    lr_sup_t,
+    lr_sup_t_mixture,
+    plan_t,
+    plan_t_mixture,
+)
+from pfdr_sizer.pfdr_core import PfdrTarget
 
 EPS = sys.float_info.epsilon
 
@@ -51,6 +61,16 @@ def test_log_lr_sup_f_matches_series(p, n, delta):
     assert abs(got - expected) <= tol
 
 
+def _random_atoms(atoms: int, seed: int) -> tuple[tuple[float, float], ...]:
+    """(r, w) pairs with r uniform on [0.05, 2] and Dirichlet weights."""
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(atoms))
+    return tuple(
+        (float(r), float(w))
+        for r, w in zip(rng.uniform(0.05, 2.0, atoms), weights / weights.sum())
+    )
+
+
 @settings(max_examples=20)
 @given(
     atoms=st.integers(1, 512),
@@ -61,12 +81,7 @@ def test_log_lr_sup_f_matches_series(p, n, delta):
 @example(atoms=512, seed=1, scale=1.0, n=20)
 @example(atoms=3, seed=1, scale=1.0, n=1000)  # overflows float range
 def test_lr_sup_t_mixture_matches_atom_sum(atoms, seed, scale, n):
-    rng = np.random.default_rng(seed)
-    weights = rng.dirichlet(np.ones(atoms))
-    pairs = tuple(
-        (float(r), float(w))
-        for r, w in zip(rng.uniform(0.05, 2.0, atoms), weights / weights.sum())
-    )
+    pairs = _random_atoms(atoms, seed)
     got = lr_sup_t_mixture(n, SnrMixture(atoms=pairs, scale=scale))
     expected = oracles.lr_sup_t_mixture_by_atom(n, pairs, scale)
     if math.isinf(expected):
@@ -118,3 +133,31 @@ def test_lr_sup_f_nondecreasing_in_n(p, n, step, delta):
 def test_lr_sup_f_nondecreasing_in_delta(p, n, delta, factor):
     low, high = lr_sup_f(p, n, delta), lr_sup_f(p, n, delta * factor)
     assert high >= low * (1.0 - SLACK)
+
+
+def _plan(kind: str, target: PfdrTarget, effect: float, p: int, atoms: int, seed: int):
+    """One planner's report and its density-ratio curve n -> rho_n."""
+    if kind == "t":
+        return plan_t(target, SnrEffect(effect)), lambda n: lr_sup_t(n, effect)
+    if kind == "f":
+        return plan_f(target, FEffect(effect, p)), lambda n: lr_sup_f(p, n, effect)
+    mixture = SnrMixture(atoms=_random_atoms(atoms, seed), scale=effect)
+    return plan_t_mixture(target, mixture), lambda n: lr_sup_t_mixture(n, mixture)
+
+
+@given(
+    kind=st.sampled_from(["t", "f", "mixture"]),
+    alpha=log_uniform(1e-3, 0.3),
+    pi=log_uniform(1e-3, 0.5),
+    effect=log_uniform(0.01, 1.0),
+    p=log_uniform_int(1, 1000),
+    atoms=st.integers(1, 16),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_n_exact_is_minimal(kind, alpha, pi, effect, p, atoms, seed):
+    report, rho = _plan(kind, PfdrTarget(alpha, pi), effect, p, atoms, seed)
+    n = report.n_exact
+    q = (1.0 - alpha) * (1.0 - pi) / (alpha * pi)
+    assert q <= rho(n)
+    if n > 1:
+        assert rho(n - 1) < q

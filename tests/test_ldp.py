@@ -523,3 +523,23 @@ class TestFamilyRegistry:
         assert abs(s2.mean() - curvature) <= 5.0 * s2.std() / math.sqrt(size)
         if family.kind == "shift":
             assert s1 is s0
+
+    def test_gamma_mean_has_the_law_of_n_draws(self):
+        # the mean of n Gamma(shape, scale) draws has cumulants
+        # kappa_j = (j - 1)! shape scale^j / n^(j - 1); the third pins the
+        # Gamma(n shape) shape, which n = 1 cannot tell from Gamma(shape)
+        shape, scale, n, size = PARAM_VALUES["shape"], PARAM_VALUES["scale"], 7, 200_000
+        rng = np.random.default_rng(8765)
+        xbar0, *_ = ldp_engine.FAMILIES["gamma"].sample(
+            rng, size, n, 3, 0.3, shape=shape, scale=scale
+        )
+        dev = xbar0 - xbar0.mean()
+        var = np.mean(dev**2)
+        # each moment estimate with its influence-function standard error
+        checks = [
+            (xbar0, 0.0),
+            (dev**2, scale**2 * shape / n),
+            (dev**3 - 3.0 * var * dev, 2.0 * shape * scale**3 / n**2),
+        ]
+        for h, expected in checks:
+            assert abs(h.mean() - expected) <= 5.0 * h.std() / math.sqrt(size)

@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 import oracles
-from pfdr_sizer.ldp_engine import SplitSpec, make_family, solve_t0
+from pfdr_sizer.ldp_engine import MAX_DRAW_CELLS, SplitSpec, make_family, solve_t0
 from pfdr_sizer.mc_verify import (
     SCORE_FAMILIES,
     SHIFT_FAMILIES,
@@ -122,15 +122,17 @@ class TestDeterminism:
                 os.environ[THREADS_ENV_VAR] = old
 
 
-# Exact counts at seed 2027 for every family, recorded before the samplers
-# moved into the family registry: ((hits_num, hits_den, hits_joint) of
-# tail_ratio_mc, (rejections, false_rejections) of simulate_pfdr).  They pin
-# the random-stream layout, so any change to it has to be made on purpose.
+# Exact counts at seed 2027 for every family: ((hits_num, hits_den,
+# hits_joint) of tail_ratio_mc, (rejections, false_rejections) of
+# simulate_pfdr).  They pin the random-stream layout, so any change to it has
+# to be made on purpose.  normal, normal-score and gamma were re-pinned when
+# their samplers moved to drawing sufficient statistics; the other three
+# still hold the counts recorded before the family registry.
 PINNED_COUNTS = {
-    "normal": ((6215, 3139, 3139), (1764, 1024)),
+    "normal": ((6211, 3073, 3073), (1809, 1066)),
     "uniform": ((9078, 3108, 3108), (2178, 1051)),
-    "gamma": ((7693, 3410, 3410), (2027, 1071)),
-    "normal-score": ((5065, 3139, 3139), (1585, 1024)),
+    "gamma": ((7724, 3308, 3308), (2022, 1086)),
+    "normal-score": ((5028, 3073, 3073), (1624, 1066)),
     "cauchy-score": ((5297, 3091, 2953), (1587, 1018)),
     "gamma-score": ((8041, 3452, 3356), (2061, 1109)),
 }
@@ -170,21 +172,28 @@ class TestStreamLayout:
 class TestTailRatio:
     def test_against_exact_t_tails(self):
         # normal data: the Studentized rejection probability is an exact t
-        # tail, so the simulated ratio must sit on the noncentral/central one
-        n = m = 8
-        z = float(stats.t.isf(0.01, m)) / math.sqrt(n)
-        scenario = SimScenario(
-            family="normal", effect=0.0, pi=0.5, n=n, m=m,
-            schedule=_fixed(z), trials=500_000, seed=3,
-        )
-        t_target = 1.0
-        d = t_target / (n + m)
-        result = tail_ratio_mc(scenario, t_target=t_target)
-        exact = oracles.studentized_tail_ratio_exact(n, m, z, d)
-        assert result.stderr > 0.0
-        assert abs(result.ratio_hat - exact) < 4.0 * result.stderr
-        # correlated counting keeps the ratio tight: well under 2 percent here
-        assert result.stderr < 0.02 * exact
+        # tail, so the simulated ratio must sit on the noncentral/central one.
+        # A data shift d is d / sigma standard deviations, and so is the
+        # normal score's shift d / sigma^2 against its sd 1 / sigma.
+        for family, n, m, p_null, sigma, trials in [
+            ("normal", 8, 8, 0.01, 1.0, 500_000),
+            ("normal", 50, 20, 1e-3, 2.0, 2_000_000),
+            ("normal-score", 8, 8, 0.01, 1.5, 500_000),
+            ("normal-score", 200, 200, 1e-3, 0.5, 2_000_000),
+        ]:
+            z = float(stats.t.isf(p_null, m)) / math.sqrt(n)
+            scenario = SimScenario(
+                family=family, effect=0.0, pi=0.5, n=n, m=m, schedule=_fixed(z),
+                trials=trials, seed=3, params={"sigma": sigma},
+            )
+            t_target = 1.0
+            d = t_target / (n + m)
+            result = tail_ratio_mc(scenario, t_target=t_target)
+            exact = oracles.studentized_tail_ratio_exact(n, m, z, d / sigma)
+            assert result.stderr > 0.0
+            assert abs(result.ratio_hat - exact) < 4.0 * result.stderr
+            # correlated counting keeps the ratio tight: under 2 percent here
+            assert result.stderr < 0.02 * exact
 
     def test_exact_ratio_falls_to_fixed_threshold_limit(self):
         # with z held fixed the finite-size ratio tends to exp((1 - rho) T x*(z)),
@@ -250,20 +259,20 @@ class TestSimulatePfdr:
 
     def test_matches_plugin_tail_formula(self):
         # normal data: per-null rejection probabilities are exact t tails,
-        # and for large batches V/R approaches the two-group ratio
-        n = m = 16
-        z = float(stats.t.isf(0.02, m)) / math.sqrt(n)
-        d, pi = 0.3, 0.3
-        scenario = SimScenario(
-            family="normal", effect=d, pi=pi, n=n, m=m,
-            schedule=_fixed(z), trials=120, seed=33,
-        )
-        result = simulate_pfdr(scenario, batch_nulls=5_000)
-        a = z * math.sqrt(n)
-        p0 = float(stats.t.sf(a, m))
-        p1 = float(stats.nct.sf(a, m, d * math.sqrt(n)))
-        expected = (1.0 - pi) * p0 / ((1.0 - pi) * p0 + pi * p1)
-        assert abs(result.pfdr_hat - expected) < max(4.0 * result.stderr, 0.01)
+        # and V/R averaged over batches with R > 0 has them in closed form
+        for n, m, p_null, effect, pi, sigma in [
+            (16, 16, 0.02, 0.3, 0.3, 1.0),
+            (20, 20, 0.3, 0.3, 0.3, 1.0),
+            (200, 200, 1e-3, 0.05, 0.1, 2.0),
+        ]:
+            z = float(stats.t.isf(p_null, m)) / math.sqrt(n)
+            scenario = SimScenario(
+                family="normal", effect=effect, pi=pi, n=n, m=m, schedule=_fixed(z),
+                trials=200, seed=33, params={"sigma": sigma},
+            )
+            result = simulate_pfdr(scenario, batch_nulls=5_000)
+            expected = oracles.studentized_pfdr_exact(n, m, z, effect / sigma, pi)
+            assert abs(result.pfdr_hat - expected) < 4.0 * result.stderr
 
     def test_counts_are_consistent(self):
         scenario = SimScenario(
@@ -293,6 +302,28 @@ class TestSimulatePfdr:
         )
         result = simulate_pfdr(scenario, batch_nulls=1_000)
         assert abs(result.pfdr_hat - 0.6) < 5.0 * result.stderr
+
+
+class TestMemoryGuard:
+    # at n = m = 10^6 one block of raw draws would be 16384 x 2e6 float64
+    # cells, about 260 GB; the normal families draw two numbers per statistic
+    SIZES = dict(n=1_000_000, m=1_000_000, pi=0.5, effect=0.0, seed=1)
+
+    def test_raw_draw_block_above_cap_is_refused(self):
+        scenario = SimScenario(
+            family="uniform", schedule=_fixed(0.002), trials=10_000_000, **self.SIZES
+        )
+        with pytest.raises(ValueError, match=f"MAX_DRAW_CELLS = {MAX_DRAW_CELLS}"):
+            tail_ratio_mc(scenario, t_target=2000.0)
+
+    def test_sufficient_statistics_skip_the_cap(self):
+        # z sqrt(n) = 2 and, with d = T / (n + m), noncentrality d sqrt(n) = 1
+        scenario = SimScenario(
+            family="normal", schedule=_fixed(0.002), trials=20_000, **self.SIZES
+        )
+        result = tail_ratio_mc(scenario, t_target=2000.0)
+        exact = oracles.studentized_tail_ratio_exact(10**6, 10**6, 0.002, 1e-3)
+        assert abs(result.ratio_hat - exact) < 4.0 * result.stderr
 
 
 class TestBahadurRao:
