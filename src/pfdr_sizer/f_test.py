@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
-from scipy import special
 
 from .numerics import (
     DEFAULT_SERIES_POLICY,
@@ -84,6 +83,8 @@ def _f_log_terms(p: int, n: int, log_a: float) -> Callable[[int, int], np.ndarra
     log b_{p,n,k} is the running sum of log1p(n / (p + 2j)) over j < k,
     carried from one chunk to the next.
     """
+    from scipy import special
+
     lb = 0.0  # log b_{p,n,k0} at the start of the next chunk
 
     def chunk(k0: int, k1: int) -> np.ndarray:
@@ -149,6 +150,8 @@ def m_p(p: int, t: float, policy: SeriesPolicy = DEFAULT_SERIES_POLICY) -> float
     u = abs(t)
     if u == 0.0:
         return 1.0
+    from scipy import special
+
     # hyp0f1 at p = 2 and t above about 730, where the true value overflows,
     # returns 0 and prints an ignored ZeroDivisionError; i0 returns inf
     value = float(special.i0(u) if p == 2 else special.hyp0f1(0.5 * p, 0.25 * u * u))

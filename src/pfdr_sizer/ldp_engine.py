@@ -42,12 +42,10 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
-from scipy import integrate, special
 
 from .numerics import (
     RootBracketError,
     RootRangeError,
-    digamma,
     find_root_increasing,
 )
 from .pfdr_core import PfdrTarget, PlanReport
@@ -294,11 +292,6 @@ def normal_score_model(sigma: float = 1.0) -> ScoreModel:
     return ScoreModel(cgf=cgf, tail=TailIndex(lam=0.0), k_f=0.0)
 
 
-def _cauchy_ratio(t: float) -> float:
-    # I1(t) / I0(t) via exponentially scaled Bessel functions, t >= 0
-    return float(special.i1e(t) / special.i0e(t))
-
-
 def cauchy_score_model() -> ScoreModel:
     """Location score of standard Cauchy data: X = 2 omega / (1 + omega^2).
 
@@ -307,6 +300,11 @@ def cauchy_score_model() -> ScoreModel:
     because the score density blows up like a reciprocal square root at the
     endpoints (which only affects constants, not the plan).
     """
+    from scipy import special
+
+    def ratio(u: float) -> float:
+        # I1(u) / I0(u) via exponentially scaled Bessel functions, u >= 0
+        return float(special.i1e(u) / special.i0e(u))
 
     def lam(t: float) -> float:
         u = abs(t)
@@ -317,14 +315,14 @@ def cauchy_score_model() -> ScoreModel:
         if u < 1e-5:
             v = 0.5 * u - u**3 / 16.0
         else:
-            v = _cauchy_ratio(u)
+            v = ratio(u)
         return math.copysign(v, t) if t != 0.0 else 0.0
 
     def lam2(t: float) -> float:
         u = abs(t)
         if u < 1e-5:
             return 0.5 - 3.0 * u * u / 16.0
-        r = _cauchy_ratio(u)
+        r = ratio(u)
         return 1.0 - r / u - r * r
 
     cgf = CgfModel(
@@ -342,6 +340,7 @@ def gamma_score_model() -> ScoreModel:
     ln Gamma(1 + t) + EULER_GAMMA t on t > -1.  Its density is asymmetric,
     and K_f = 1 - ln 2 exactly.
     """
+    from scipy import special
 
     def lam(t: float) -> float:
         if t <= -1.0:
@@ -351,7 +350,7 @@ def gamma_score_model() -> ScoreModel:
     def lam1(t: float) -> float:
         if t <= -1.0:
             raise ValueError(f"t = {t!r} is outside the domain (t > -1)")
-        return digamma(1.0 + t) + EULER_GAMMA
+        return float(special.digamma(1.0 + t)) + EULER_GAMMA
 
     def lam2(t: float) -> float:
         if t <= -1.0:
@@ -621,6 +620,8 @@ def k_f(
 
 def _quad_split(fn: Callable[[float], float], lo: float, hi: float) -> float:
     # split at zero so the two infinite half-lines are handled separately
+    from scipy import integrate
+
     pieces = [(lo, 0.0), (0.0, hi)] if lo < 0.0 < hi else [(lo, hi)]
     total = 0.0
     with warnings.catch_warnings():

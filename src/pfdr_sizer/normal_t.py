@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
-from scipy import special
 
 from .numerics import (
     DEFAULT_SERIES_POLICY,
@@ -230,6 +229,8 @@ def lr_sup_t_mixture(
     All atoms are summed together, one row each: the gamma ratios a_{n,k}
     do not depend on the atom, so each chunk computes them once.
     """
+    from scipy import special
+
     _check_t_args(n, mixture.scale)
     r, w = np.array(mixture.atoms).T
     d = math.sqrt(n + 1.0) * mixture.scale * r

@@ -1,8 +1,8 @@
 """Shared numeric primitives.
 
-digamma with an explicit domain check, two safeguarded summators for positive
-series given by their log terms, and a monotone root finder that grows its
-own bracket.
+Two safeguarded summators for positive series given by their log terms, and
+a monotone root finder that grows its own bracket and polishes the root with
+Brent's method.
 
 The series summators are the workhorse: every likelihood-ratio supremum in
 this package is a Poisson-type series whose terms rise to a single mode and
@@ -12,6 +12,9 @@ terms are past their mode.  sum_series and log_sum_series take one series as
 a Python iterable and add it term by term with compensated addition;
 log_sum_rows sums many series at once, a numpy chunk of terms at a time, in
 the log domain.
+
+The Brent polish is a line-for-line port of scipy.optimize.brentq, so roots
+match scipy's to the last bit while this module imports no scipy at all.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy import optimize, special
 
 __all__ = [
     "SeriesPolicy",
@@ -29,7 +31,6 @@ __all__ = [
     "SeriesDivergenceError",
     "RootRangeError",
     "RootBracketError",
-    "digamma",
     "sum_series",
     "log_sum_series",
     "log_sum_rows",
@@ -76,13 +77,6 @@ class SeriesPolicy:
 
 
 DEFAULT_SERIES_POLICY = SeriesPolicy()
-
-
-def digamma(x: float) -> float:
-    """Logarithmic derivative of the gamma function on the positive half line."""
-    if not x > 0.0:
-        raise ValueError(f"digamma requires x > 0, got {x!r}")
-    return float(special.digamma(x))
 
 
 def _accumulate(
@@ -249,10 +243,7 @@ def find_root_increasing(
     else:
         a, b = _expand_down(f, target, x, lo)
 
-    root = optimize.brentq(
-        lambda t: f(t) - target, a, b, xtol=1e-14, rtol=_BRENT_RTOL, maxiter=300
-    )
-    root = float(root)
+    root = _brentq(lambda t: f(t) - target, a, b, 1e-14, _BRENT_RTOL, 300)
     resid = abs(f(root) - target)
     if not resid <= 1e-10 * (1.0 + abs(target)):
         raise RootBracketError(
@@ -260,6 +251,90 @@ def find_root_increasing(
             "function may not be monotone on the stated domain"
         )
     return root
+
+
+def _brentq(
+    f: Callable[[float], float],
+    xa: float,
+    xb: float,
+    xtol: float,
+    rtol: float,
+    maxiter: int,
+) -> float:
+    """Root of f in the sign-changing bracket [xa, xb] by Brent's method.
+
+    A port of scipy.optimize.brentq (scipy's brentq.c, after Brent 1973,
+    Algorithms for Minimization without Derivatives, ch. 4) that keeps its
+    operations in the same order, so the same f, bracket and tolerances give
+    the same root bit for bit.  It stops once the bracket half-width is below
+    (xtol + rtol |x|) / 2.  Raises ValueError when f is NaN or f(xa) and
+    f(xb) share a sign, and RootBracketError after maxiter steps.
+    """
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre = _brent_eval(f, xpre)
+    fcur = _brent_eval(f, xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (
+                        dblk * dpre * (fblk - fpre)
+                    )
+            except ZeroDivisionError:
+                # C gives an infinite or NaN step here, which then bisects
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = _brent_eval(f, xcur)
+    raise RootBracketError(
+        f"Brent's method did not converge in {maxiter} iterations "
+        f"(bracket [{xa!r}, {xb!r}], last x={xcur:.17g})"
+    )
+
+
+def _brent_eval(f: Callable[[float], float], x: float) -> float:
+    fx = float(f(x))
+    if fx != fx:
+        raise ValueError(
+            f"The function value at x={x} is NaN; solver cannot continue."
+        )
+    return fx
 
 
 def _expand_up(

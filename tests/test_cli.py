@@ -408,3 +408,75 @@ class TestEntryPoint:
         # module execution path mirrors the console script
         assert proc.returncode == 0
         assert '"n_asymptotic": 15' in proc.stdout
+
+
+# fresh CLI processes that must import no scipy module at all: their kernels
+# need only math and numpy
+SCIPY_FREE = {
+    "plan-t": (0, ["plan-t", "--alpha", "0.05", "--pi", "0.1", "--snr", "0.01"]),
+    "plan-general-normal": (0, [
+        "plan-general", "--alpha", "0.05", "--pi", "0.1", "--family", "normal",
+        "--effect", "0.3", "--rho", "0.4",
+    ]),
+    "simulate-normal": (0, [
+        "simulate", "--family", "normal", "--effect", "0", "--pi", "0.5",
+        "--n", "5", "--m", "5", "--trials", "40", "--z0", "0.4", "--seed", "7",
+    ]),
+    "optimize-split-normal": (0, ["optimize-split", "--family", "normal"]),
+    "ldp-info-uniform": (0, [
+        "ldp-info", "--family", "uniform", "--width", "2", "--rho", "0.5", "--u", "0.3",
+    ]),
+    "usage-error": (2, ["plan-t", "--alpha", "2", "--pi", "0.1", "--snr", "0.1"]),
+}
+# the other subcommands, which load scipy.special for their kernels
+SCIPY_SPECIAL = {
+    "plan-f": (0, PLAN_F_ARGS),
+    "plan-t-mixture": (0, [
+        "plan-t-mixture", "--alpha", "0.05", "--pi", "0.1",
+        "--atoms", "1:0.5,2:0.5", "--scale", "0.01",
+    ]),
+    "plan-score-gamma": (0, [
+        "plan-score", "--alpha", "0.05", "--pi", "0.1", "--family", "gamma-score",
+        "--effect", "0.5", "--rho", "0.3",
+    ]),
+}
+
+
+def _cold_imports(argv):
+    """Exit code and the packages a fresh CLI process imports.
+
+    Each module listed by -X importtime counts for its top-level package
+    and for its first subpackage: "scipy.special._ufuncs" adds "scipy" and
+    "scipy.special".  A subpackage that scipy loads through importlib, as
+    `from scipy import special` does, is itself missing from that list,
+    but the modules it imports are there.
+    """
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "pfdr_sizer.cli", *argv],
+        capture_output=True, text=True,
+    )
+    names = set()
+    for line in proc.stderr.splitlines():
+        if line.startswith("import time:"):
+            parts = line.rsplit("|", 1)[1].strip().split(".")
+            names.update({parts[0], ".".join(parts[:2])})
+    return proc.returncode, names
+
+
+class TestColdImports:
+    @pytest.mark.parametrize("name", sorted(SCIPY_FREE))
+    def test_loads_no_scipy(self, name):
+        code, argv = SCIPY_FREE[name]
+        got, names = _cold_imports(argv)
+        assert got == code
+        assert "numpy" in names
+        assert "scipy" not in names
+
+    @pytest.mark.parametrize("name", sorted(SCIPY_SPECIAL))
+    def test_loads_no_optimize_or_integrate(self, name):
+        code, argv = SCIPY_SPECIAL[name]
+        got, names = _cold_imports(argv)
+        assert got == code
+        assert "scipy.special" in names
+        assert "scipy.optimize" not in names
+        assert "scipy.integrate" not in names

@@ -3,8 +3,10 @@
 The oracles in oracles.py sum the same series one Python term at a time:
 log_lr_sup_f_series is the F kernel the numpy summator replaced, and
 lr_sup_t_mixture_by_atom averages the scalar t kernel atom by atom.  The
-last test checks that the planners built on these kernels return the
-smallest n whose density-ratio supremum reaches Q.
+t and F suprema are also checked to be nondecreasing in n and in the
+effect, and to agree with their log-domain variants.  The last test checks
+that the planners built on these kernels return the smallest n whose
+density-ratio supremum reaches Q.
 """
 
 import math
@@ -12,15 +14,16 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from pfdr_sizer import f_test
 from pfdr_sizer.f_test import FEffect, log_lr_sup_f, lr_sup_f, m_p, plan_f
 from pfdr_sizer.normal_t import (
     SnrEffect,
     SnrMixture,
+    log_lr_sup_t,
     lr_sup_t,
     lr_sup_t_mixture,
     plan_t,
@@ -104,7 +107,7 @@ def test_m_p_at_least_one_and_nondecreasing(p, t, factor):
 
 
 def test_m_p_falls_back_to_series(monkeypatch):
-    monkeypatch.setattr(f_test.special, "hyp0f1", lambda b, z: 0.0)
+    monkeypatch.setattr(scipy.special, "hyp0f1", lambda b, z: 0.0)
     assert m_p(4, 3.0) == pytest.approx(oracles.m_p_direct(4, 3.0), rel=1e-13)
 
 
@@ -133,6 +136,47 @@ def test_lr_sup_f_nondecreasing_in_n(p, n, step, delta):
 def test_lr_sup_f_nondecreasing_in_delta(p, n, delta, factor):
     low, high = lr_sup_f(p, n, delta), lr_sup_f(p, n, delta * factor)
     assert high >= low * (1.0 - SLACK)
+
+
+@given(
+    n=log_uniform_int(1, 2000),
+    step=st.integers(1, 1000),
+    r=log_uniform(1e-3, 1.0),
+)
+def test_lr_sup_t_nondecreasing_in_n(n, step, r):
+    low, high = lr_sup_t(n, r), lr_sup_t(n + step, r)
+    assert high >= low * (1.0 - SLACK)
+
+
+@given(
+    n=log_uniform_int(1, 2000),
+    r=log_uniform(1e-3, 1.0),
+    factor=st.floats(1.0, 2.0),
+)
+def test_lr_sup_t_nondecreasing_in_r(n, r, factor):
+    low, high = lr_sup_t(n, r), lr_sup_t(n, r * factor)
+    assert high >= low * (1.0 - SLACK)
+
+
+@given(n=log_uniform_int(1, 5000), r=log_uniform(1e-3, 2.0))
+@example(n=1000, r=0.87)  # about exp(708), just inside float range
+def test_log_lr_sup_t_is_the_log(n, r):
+    value = lr_sup_t(n, r)
+    if math.isfinite(value):
+        # lr_sup_t sums against a fixed scale, log_lr_sup_t in the log
+        # domain, so the two agree to rounding, not bit for bit
+        assert math.exp(log_lr_sup_t(n, r)) == pytest.approx(value, rel=1e-12)
+
+
+@given(
+    p=log_uniform_int(1, 100_000),
+    n=log_uniform_int(1, 5000),
+    delta=log_uniform(1e-3, 2.0),
+)
+def test_log_lr_sup_f_is_the_log(p, n, delta):
+    value = lr_sup_f(p, n, delta)
+    if math.isfinite(value):
+        assert math.exp(log_lr_sup_f(p, n, delta)) == pytest.approx(value, rel=1e-12)
 
 
 def _plan(kind: str, target: PfdrTarget, effect: float, p: int, atoms: int, seed: int):

@@ -2,20 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import optimize
 
 import oracles
 from pfdr_sizer.ldp_engine import cauchy_score_model, gamma_score_model
 from pfdr_sizer.numerics import (
+    _BRENT_RTOL,
     DEFAULT_SERIES_POLICY,
     RootBracketError,
     RootRangeError,
     SeriesDivergenceError,
     SeriesPolicy,
-    digamma,
     find_root_increasing,
     log_sum_rows,
     log_sum_series,
     sum_series,
+    _brentq,
 )
 
 
@@ -23,6 +27,12 @@ def log_gamma(x: float) -> float:
     # the gamma-score cgf is ln Gamma(1 + t) + EULER_GAMMA t on t > -1
     t = x - 1.0
     return gamma_score_model().cgf.lambda_fn(t) - oracles.EULER_GAMMA * t
+
+
+def digamma(x: float) -> float:
+    # the gamma-score cgf has derivative digamma(1 + t) + EULER_GAMMA
+    t = x - 1.0
+    return gamma_score_model().cgf.lambda_d1(t) - oracles.EULER_GAMMA
 
 
 def bessel_i0_log(t: float) -> float:
@@ -280,3 +290,84 @@ class TestFindRootIncreasing:
             find_root_increasing(math.exp, 2.0, math.nan)
         with pytest.raises(ValueError):
             find_root_increasing(math.exp, 2.0, 5.0, lo=1.0, hi=2.0)
+
+
+# increasing shapes with their sign change at u = 0; "stairs" is flat between
+# jumps, so Brent meets equal function values and divides by zero
+_SHAPES = {
+    "cubic": lambda u, k: u**3 + k * u,
+    "sinh": lambda u, k: math.sinh(max(-700.0, min(700.0, k * u))),
+    "expm1": lambda u, k: math.expm1(min(700.0, k * u)),
+    "atan": lambda u, k: math.atan(k * u),
+    "stairs": lambda u, k: math.floor(k * u) + 0.5,
+}
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+def _recorded(f, calls):
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g
+
+
+class TestBrentq:
+    """_brentq against scipy.optimize.brentq, the code it ports."""
+
+    @settings(max_examples=400)
+    @given(
+        shape=st.sampled_from(sorted(_SHAPES)),
+        root=st.floats(-1e3, 1e3),
+        k=_log_uniform(1e-3, 1e2),
+        scale=_log_uniform(1e-300, 1e300),
+        below=_log_uniform(1e-9, 1e3),
+        above=_log_uniform(1e-9, 1e3),
+        xtol=st.sampled_from([1e-14, 2e-12, 1e-6]),
+        rtol=st.sampled_from([_BRENT_RTOL, 1e-10]),
+    )
+    # function values near 1e-300 underflow in the step formulas
+    @example("sinh", 2275.8512759919117, 0.58116, 7.08e-178, 7.06, 371.7, 1e-14, _BRENT_RTOL)
+    @example("stairs", 0.3, 2.0, 1.0, 10.0, 10.0, 1e-14, _BRENT_RTOL)
+    def test_bit_identical_to_scipy(
+        self, shape, root, k, scale, below, above, xtol, rtol
+    ):
+        f = lambda x: scale * _SHAPES[shape](x - root, k)
+        a, b = root - below, root + above
+        ours, theirs = [], []
+        got = _brentq(_recorded(f, ours), a, b, xtol, rtol, 300)
+        expected = optimize.brentq(
+            _recorded(f, theirs), a, b, xtol=xtol, rtol=rtol, maxiter=300
+        )
+        assert got == expected
+        assert ours == theirs
+
+    def test_zero_at_an_end_returns_that_end(self):
+        f = lambda x: x - 1.0
+        for a, b in [(1.0, 3.0), (-2.0, 1.0)]:
+            got = _brentq(f, a, b, 1e-14, _BRENT_RTOL, 300)
+            assert got == 1.0
+            assert got == optimize.brentq(f, a, b, xtol=1e-14, rtol=_BRENT_RTOL)
+
+    def test_same_sign_is_an_error(self):
+        f = lambda x: x * x + 1.0
+        with pytest.raises(ValueError, match="different signs"):
+            _brentq(f, -1.0, 2.0, 1e-14, _BRENT_RTOL, 300)
+        with pytest.raises(ValueError, match="different signs"):
+            optimize.brentq(f, -1.0, 2.0, xtol=1e-14, rtol=_BRENT_RTOL)
+
+    def test_iteration_budget_is_a_typed_failure(self):
+        # the cube root of 2 takes several steps from [0, 2]
+        f = lambda x: x**3 - 2.0
+        with pytest.raises(RootBracketError, match="did not converge in 1 iterations"):
+            _brentq(f, 0.0, 2.0, 1e-14, _BRENT_RTOL, 1)
+        assert _brentq(f, 0.0, 2.0, 1e-14, _BRENT_RTOL, 300) == pytest.approx(
+            2.0 ** (1.0 / 3.0), rel=1e-15
+        )
+
+    def test_nan_is_an_error(self):
+        with pytest.raises(ValueError, match="NaN"):
+            _brentq(lambda x: math.nan, 0.0, 1.0, 1e-14, _BRENT_RTOL, 300)
