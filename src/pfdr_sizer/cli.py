@@ -619,13 +619,19 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+# backslash, quote and the control characters U+0000 to U+001F, which RFC
+# 8259 does not allow raw inside a string
+_JSON_ESCAPES = {i: f"\\u{i:04x}" for i in range(0x20)}
+_JSON_ESCAPES.update({ord("\\"): "\\\\", ord('"'): '\\"'})
+
+
 def _to_json(obj: Any, indent: int = 0) -> str:
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         inner = ",\n".join(
-            f'{pad}  "{key}": {_to_json(value, indent + 1)}'
+            f"{pad}  {_to_json(str(key))}: {_to_json(value, indent + 1)}"
             for key, value in obj.items()
         )
         return "{\n" + inner + "\n" + pad + "}"
@@ -647,9 +653,7 @@ def _to_json(obj: Any, indent: int = 0) -> str:
         return _format_float(x)
     if obj is None:
         return "null"
-    text = str(obj)
-    escaped = text.replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{escaped}"'
+    return f'"{str(obj).translate(_JSON_ESCAPES)}"'
 
 
 def _flatten(prefix: str, obj: Any, rows: list[tuple[str, str]]) -> None:

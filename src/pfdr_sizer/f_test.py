@@ -29,13 +29,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .numerics import (
-    DEFAULT_SERIES_POLICY,
-    SeriesPolicy,
-    find_root_increasing,
-    log_sum_rows,
-    sum_series,
-)
+from .numerics import find_root_increasing, log_sum_rows, sum_series
 from .pfdr_core import LrSupCurve, PfdrTarget, PlanReport, min_n_search
 
 __all__ = [
@@ -71,8 +65,8 @@ class FEffect:
     p: int
 
     def __post_init__(self) -> None:
-        if not self.delta > 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta!r}")
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError(f"delta must be positive and finite, got {self.delta!r}")
         if self.p < 1:
             raise ValueError(f"p must be a positive integer, got {self.p!r}")
 
@@ -98,24 +92,20 @@ def _f_log_terms(p: int, n: int, log_a: float) -> Callable[[int, int], np.ndarra
     return chunk
 
 
-def _log_k(p: int, n: int, delta: float, policy: SeriesPolicy) -> float:
-    if delta == 0.0:
-        return 0.0
+def _log_k(p: int, n: int, delta: float) -> float:
     a = 0.5 * (n + p) * delta * delta
-    return -a + float(log_sum_rows(_f_log_terms(p, n, math.log(a)), policy)[0])
+    if a == 0.0:  # delta = 0, or A underflowed: K = 1
+        return 0.0
+    return -a + float(log_sum_rows(_f_log_terms(p, n, math.log(a)))[0])
 
 
-def log_lr_sup_f(
-    p: int, n: int, delta: float, policy: SeriesPolicy = DEFAULT_SERIES_POLICY
-) -> float:
+def log_lr_sup_f(p: int, n: int, delta: float) -> float:
     """log of lr_sup_f, safe when the ratio exceeds float range."""
     _check_f_args(p, n, delta)
-    return _log_k(p, n, delta, policy)
+    return _log_k(p, n, delta)
 
 
-def lr_sup_f(
-    p: int, n: int, delta: float, policy: SeriesPolicy = DEFAULT_SERIES_POLICY
-) -> float:
+def lr_sup_f(p: int, n: int, delta: float) -> float:
     """Density-ratio supremum K(p, n, delta) of the noncentral F statistic.
 
     Equals 1 at delta = 0, is increasing in delta and in n, and is bounded
@@ -123,7 +113,7 @@ def lr_sup_f(
     overflows, which the curve search tolerates.
     """
     _check_f_args(p, n, delta)
-    log_value = _log_k(p, n, delta, policy)
+    log_value = _log_k(p, n, delta)
     return math.inf if log_value >= 709.78 else math.exp(log_value)
 
 
@@ -136,7 +126,7 @@ def _check_f_args(p: int, n: int, delta: float) -> None:
         raise ValueError(f"delta must be >= 0, got {delta!r}")
 
 
-def m_p(p: int, t: float, policy: SeriesPolicy = DEFAULT_SERIES_POLICY) -> float:
+def m_p(p: int, t: float) -> float:
     """Limit of K along n * delta -> t: an even, increasing-in-|t| transform.
 
     M_p(t) = sum_k Gamma(p/2) (t^2/4)^k / (k! Gamma(k + p/2))
@@ -166,7 +156,7 @@ def m_p(p: int, t: float, policy: SeriesPolicy = DEFAULT_SERIES_POLICY) -> float
             yield lg_p2 + k * log_u2_4 - math.lgamma(k + 1) - math.lgamma(k + 0.5 * p)
             k += 1
 
-    return sum_series(terms(), policy)
+    return sum_series(terms())
 
 
 def quadratic_root_n(p: int, delta: float, a: float) -> float:
@@ -180,12 +170,7 @@ def quadratic_root_n(p: int, delta: float, a: float) -> float:
     return 4.0 * a / (delta * delta) / (1.0 + math.sqrt(1.0 + 8.0 * a / d2p))
 
 
-def plan_f(
-    target: PfdrTarget,
-    effect: FEffect,
-    n_max: int = 10_000_000,
-    policy: SeriesPolicy = DEFAULT_SERIES_POLICY,
-) -> PlanReport:
+def plan_f(target: PfdrTarget, effect: FEffect, n_max: int = 10_000_000) -> PlanReport:
     """Minimum denominator degrees of freedom n with K(p, n, delta) >= Q.
 
     Runs the exact curve search and evaluates all three approximations; the
@@ -193,7 +178,7 @@ def plan_f(
     ride along in diagnostics.
     """
     delta, p = effect.delta, effect.p
-    curve = LrSupCurve(eval=lambda n: lr_sup_f(p, n, delta, policy))
+    curve = LrSupCurve(eval=lambda n: lr_sup_f(p, n, delta))
     report = min_n_search(curve, target, n_max=n_max)
     q = report.q_value
     a = math.log(q)
@@ -202,7 +187,7 @@ def plan_f(
         n_mgf = n_quad = n_logpow = 1.0
     else:
         t_star = find_root_increasing(
-            lambda t: m_p(p, t, policy),
+            lambda t: m_p(p, t),
             q,
             bracket_hint=max(1.0, min(a + 1.0, math.sqrt(2.0 * p * a))),
             lo=0.0,

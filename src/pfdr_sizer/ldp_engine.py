@@ -177,8 +177,8 @@ class SplitOptimum:
 
 
 def normal_family(sigma: float = 1.0) -> tuple[CgfModel, TailIndex]:
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
     s2 = sigma * sigma
     cgf = CgfModel(
         lambda_fn=lambda t: 0.5 * s2 * t * t,
@@ -220,8 +220,8 @@ def _uniform_lambda_d2(t: float) -> float:
 
 def uniform_family(width: float = 1.0) -> tuple[CgfModel, TailIndex]:
     """Uniform on an interval of the given width, centered."""
-    if not width > 0.0:
-        raise ValueError(f"width must be positive, got {width!r}")
+    if not 0.0 < width < math.inf:
+        raise ValueError(f"width must be positive and finite, got {width!r}")
     w = width
     cgf = CgfModel(
         lambda_fn=lambda t: _uniform_lambda(w * t),
@@ -240,10 +240,10 @@ def gamma_family(shape: float, scale: float = 1.0) -> tuple[CgfModel, TailIndex]
     at shape = 1/2 it diverges logarithmically and below it like a power,
     so the tail index is lam = 2 * shape - 1 there.
     """
-    if not shape > 0.0:
-        raise ValueError(f"shape must be positive, got {shape!r}")
-    if not scale > 0.0:
-        raise ValueError(f"scale must be positive, got {scale!r}")
+    if not 0.0 < shape < math.inf:
+        raise ValueError(f"shape must be positive and finite, got {shape!r}")
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"scale must be positive and finite, got {scale!r}")
     a, b = shape, scale
     sup = 1.0 / b
 
@@ -280,8 +280,8 @@ def _check_below(t: float, sup: float) -> None:
 
 def normal_score_model(sigma: float = 1.0) -> ScoreModel:
     """Location score of normal data: X = omega / sigma^2, standard deviation 1/sigma."""
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
     inv_s2 = 1.0 / (sigma * sigma)
     cgf = CgfModel(
         lambda_fn=lambda t: 0.5 * inv_s2 * t * t,
@@ -594,23 +594,14 @@ def solve_t0(cgf: CgfModel, tail: TailIndex, split: SplitSpec) -> float:
     )
 
 
-def k_f(
-    density: Callable[[float], float],
-    mode: str = "density-weighted",
-    support: tuple[float, float] = (-math.inf, math.inf),
-) -> float:
+def k_f(density: Callable[[float], float]) -> float:
     """Variance-side rate contribution of a score with null density f.
 
-    K_f = (integral of z f(z)^2 dz) / (integral of f(z)^2 dz); zero for any
-    even density, which the "symmetric" mode asserts without integrating.
+    K_f = (integral of z f(z)^2 dz) / (integral of f(z)^2 dz) over the real
+    line; zero for any even density.
     """
-    if mode == "symmetric":
-        return 0.0
-    if mode != "density-weighted":
-        raise ValueError(f"unknown k_f mode {mode!r}")
-    lo, hi = support
-    num = _quad_split(lambda z: z * density(z) ** 2, lo, hi)
-    den = _quad_split(lambda z: density(z) ** 2, lo, hi)
+    num = _quad_split(lambda z: z * density(z) ** 2)
+    den = _quad_split(lambda z: density(z) ** 2)
     if not math.isfinite(num) or not math.isfinite(den) or den <= 0.0:
         raise QuadratureError(
             f"density-weighted integrals did not converge (num={num!r}, den={den!r})"
@@ -618,15 +609,14 @@ def k_f(
     return num / den
 
 
-def _quad_split(fn: Callable[[float], float], lo: float, hi: float) -> float:
+def _quad_split(fn: Callable[[float], float]) -> float:
     # split at zero so the two infinite half-lines are handled separately
     from scipy import integrate
 
-    pieces = [(lo, 0.0), (0.0, hi)] if lo < 0.0 < hi else [(lo, hi)]
     total = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)
-        for a, b in pieces:
+        for a, b in ((-math.inf, 0.0), (0.0, math.inf)):
             try:
                 val, err = integrate.quad(
                     fn, a, b, epsabs=1e-10, epsrel=1e-10, limit=200
@@ -795,18 +785,19 @@ def n_star_score(
 # ---------------------------------------------------------------------------
 # empirical cgf
 
+# bound on |t x_i| over the admissible interval: exp(t x_i) stays finite
+_OVERFLOW_BUDGET = 700.0
+
 
 def empirical_cgf(
-    sample: Sequence[float] | np.ndarray,
-    t_grid: Sequence[float] | np.ndarray,
-    overflow_budget: float = 700.0,
+    sample: Sequence[float] | np.ndarray, t_grid: Sequence[float] | np.ndarray
 ) -> CgfModel:
     """Centered empirical cgf of a sample, valid on a safe hull of t_grid.
 
     The sample is centered at its mean; the admissible t interval is the
-    hull of t_grid intersected with { t : max_i |t x_i| <= overflow_budget }
-    so every later evaluation stays finite.  Derivatives are the exact
-    tilted moments of the empirical distribution.
+    hull of t_grid intersected with { t : max_i |t x_i| <= 700 } so every
+    later evaluation stays finite.  Derivatives are the exact tilted
+    moments of the empirical distribution.
     """
     x = np.asarray(sample, dtype=float).ravel()
     if x.size < 100:
@@ -819,8 +810,8 @@ def empirical_cgf(
         raise ValueError("t_grid needs at least two points")
     t_lo, t_hi = float(grid.min()), float(grid.max())
     x_min, x_max = float(x.min()), float(x.max())
-    allow_hi = overflow_budget / x_max if x_max > 0.0 else math.inf
-    allow_lo = overflow_budget / x_min if x_min < 0.0 else -math.inf
+    allow_hi = _OVERFLOW_BUDGET / x_max if x_max > 0.0 else math.inf
+    allow_lo = _OVERFLOW_BUDGET / x_min if x_min < 0.0 else -math.inf
     sup = min(t_hi, allow_hi)
     inf_ = max(t_lo, allow_lo)
     if not inf_ < 0.0 < sup:

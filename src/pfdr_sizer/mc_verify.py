@@ -149,7 +149,10 @@ class SimScenario:
             raise ValueError(f"trials must be >= 1, got {self.trials!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed!r}")
-        FAMILIES[self.family].kwargs(self.params)  # a required one missing raises
+        # a required parameter left out raises in kwargs
+        for key, value in FAMILIES[self.family].kwargs(self.params).items():
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{key} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)

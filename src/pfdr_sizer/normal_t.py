@@ -26,14 +26,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .numerics import (
-    DEFAULT_SERIES_POLICY,
-    SeriesPolicy,
-    find_root_increasing,
-    log_sum_rows,
-    log_sum_series,
-    sum_series,
-)
+from .numerics import find_root_increasing, log_sum_rows, log_sum_series, sum_series
 from .pfdr_core import LrSupCurve, PfdrTarget, PlanReport, min_n_search
 
 __all__ = [
@@ -63,8 +56,10 @@ class SnrEffect:
     r: float
 
     def __post_init__(self) -> None:
-        if not self.r > 0.0:
-            raise ValueError(f"signal-to-noise ratio must be positive, got {self.r!r}")
+        if not 0.0 < self.r < math.inf:
+            raise ValueError(
+                f"signal-to-noise ratio must be positive and finite, got {self.r!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -87,12 +82,12 @@ class SnrMixture:
             raise ValueError(
                 f"at most {MAX_MIXTURE_ATOMS} atoms supported, got {len(self.atoms)}"
             )
-        if not self.scale > 0.0:
-            raise ValueError(f"scale must be positive, got {self.scale!r}")
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError(f"scale must be positive and finite, got {self.scale!r}")
         total = 0.0
         for r, w in self.atoms:
-            if not r > 0.0:
-                raise ValueError(f"atom location must be positive, got {r!r}")
+            if not 0.0 < r < math.inf:
+                raise ValueError(f"atom location must be positive and finite, got {r!r}")
             if not w > 0.0:
                 raise ValueError(f"atom weight must be positive, got {w!r}")
             total += w
@@ -100,29 +95,23 @@ class SnrMixture:
             raise ValueError(f"atom weights must sum to 1, got {total!r}")
 
     @classmethod
-    def point(cls, r: float, scale: float = 1.0) -> "SnrMixture":
-        return cls(atoms=((r, 1.0),), scale=scale)
-
-    @classmethod
     def from_density(
         cls,
         pdf: Callable[[float], float],
         support: tuple[float, float],
-        n_atoms: int = MAX_MIXTURE_ATOMS,
         scale: float = 1.0,
     ) -> "SnrMixture":
         """Discretize a density on a positive interval by Gauss-Legendre nodes.
 
-        The stated support must carry all but 1e-10 of the density's mass;
-        otherwise the truncation would silently bias the plan, so it is an
-        error.  Weights are renormalized to sum to one exactly.
+        It uses MAX_MIXTURE_ATOMS nodes.  The stated support must carry all
+        but 1e-10 of the density's mass; otherwise the truncation would
+        silently bias the plan, so it is an error.  Weights are renormalized
+        to sum to one exactly.
         """
         lo, hi = support
         if not 0.0 < lo < hi:
             raise ValueError(f"support must satisfy 0 < lo < hi, got {support!r}")
-        if not 1 <= n_atoms <= MAX_MIXTURE_ATOMS:
-            raise ValueError(f"n_atoms must be in [1, {MAX_MIXTURE_ATOMS}]")
-        nodes, gl_weights = np.polynomial.legendre.leggauss(n_atoms)
+        nodes, gl_weights = np.polynomial.legendre.leggauss(MAX_MIXTURE_ATOMS)
         half = 0.5 * (hi - lo)
         xs = lo + half * (nodes + 1.0)
         ws = half * gl_weights * np.array([float(pdf(float(x))) for x in xs])
@@ -153,20 +142,18 @@ def _log_terms_t(n: int, log_sqrt2_d: float) -> Iterator[float]:
         lg_prev = lg_next
 
 
-def log_lr_sup_t(
-    n: int, r: float, policy: SeriesPolicy = DEFAULT_SERIES_POLICY
-) -> float:
+def log_lr_sup_t(n: int, r: float) -> float:
     """log of lr_sup_t, safe when the ratio exceeds float range."""
     _check_t_args(n, r)
     if r == 0.0:
         return 0.0
     d = math.sqrt(n + 1.0) * r
     return -0.5 * d * d + log_sum_series(
-        _log_terms_t(n, 0.5 * math.log(2.0) + math.log(d)), policy
+        _log_terms_t(n, 0.5 * math.log(2.0) + math.log(d))
     )
 
 
-def lr_sup_t(n: int, r: float, policy: SeriesPolicy = DEFAULT_SERIES_POLICY) -> float:
+def lr_sup_t(n: int, r: float) -> float:
     """Density-ratio supremum of the t statistic: L(n, r) above.
 
     Equals 1 at r = 0 and increases without bound in each argument; may
@@ -177,9 +164,9 @@ def lr_sup_t(n: int, r: float, policy: SeriesPolicy = DEFAULT_SERIES_POLICY) -> 
     if r == 0.0:
         return 1.0
     d = math.sqrt(n + 1.0) * r
-    scaled = sum_series(_log_terms_t(n, 0.5 * math.log(2.0) + math.log(d)), policy)
+    scaled = sum_series(_log_terms_t(n, 0.5 * math.log(2.0) + math.log(d)))
     if math.isinf(scaled):
-        log_value = log_lr_sup_t(n, r, policy)
+        log_value = log_lr_sup_t(n, r)
         return math.inf if log_value >= 709.78 else math.exp(log_value)
     return math.exp(-0.5 * d * d) * scaled
 
@@ -191,18 +178,13 @@ def _check_t_args(n: int, r: float) -> None:
         raise ValueError(f"signal-to-noise ratio must be >= 0, got {r!r}")
 
 
-def plan_t(
-    target: PfdrTarget,
-    effect: SnrEffect,
-    n_max: int = 10_000_000,
-    policy: SeriesPolicy = DEFAULT_SERIES_POLICY,
-) -> PlanReport:
+def plan_t(target: PfdrTarget, effect: SnrEffect, n_max: int = 10_000_000) -> PlanReport:
     """Minimum degrees of freedom n with L(n, r) >= Q(alpha, pi).
 
     The per-null sample size is n + 1 observations.  n_asymptotic carries the
     large-n rate approximation ln(Q) / r alongside the exact search result.
     """
-    curve = LrSupCurve(eval=lambda n: lr_sup_t(n, effect.r, policy))
+    curve = LrSupCurve(eval=lambda n: lr_sup_t(n, effect.r))
     report = min_n_search(curve, target, n_max=n_max)
     q = report.q_value
     diagnostics = dict(report.diagnostics)
@@ -221,9 +203,7 @@ def plan_t(
     )
 
 
-def lr_sup_t_mixture(
-    n: int, mixture: SnrMixture, policy: SeriesPolicy = DEFAULT_SERIES_POLICY
-) -> float:
+def lr_sup_t_mixture(n: int, mixture: SnrMixture) -> float:
     """Weighted average of lr_sup_t over the mixture atoms.
 
     All atoms are summed together, one row each: the gamma ratios a_{n,k}
@@ -242,7 +222,7 @@ def lr_sup_t_mixture(
         shared = special.gammaln(0.5 * (n + k + 1.0)) - lg0 - special.gammaln(k + 1.0)
         return shared + k * log_x
 
-    logs = np.log(w) - 0.5 * d * d + log_sum_rows(chunk, policy)
+    logs = np.log(w) - 0.5 * d * d + log_sum_rows(chunk)
     m = float(logs.max())
     out = m + math.log(float(np.exp(logs - m).sum()))
     return math.inf if out >= 709.78 else math.exp(out)
@@ -255,10 +235,7 @@ def _mixture_mgf(mixture: SnrMixture, a: float) -> float:
 
 
 def plan_t_mixture(
-    target: PfdrTarget,
-    mixture: SnrMixture,
-    n_max: int = 10_000_000,
-    policy: SeriesPolicy = DEFAULT_SERIES_POLICY,
+    target: PfdrTarget, mixture: SnrMixture, n_max: int = 10_000_000
 ) -> PlanReport:
     """Minimum n for a mixture prior on the signal-to-noise ratio.
 
@@ -268,7 +245,7 @@ def plan_t_mixture(
     inverse is the right large-n rate.  A point mass reduces both answers to
     plan_t with r = scale * r_1.
     """
-    curve = LrSupCurve(eval=lambda n: lr_sup_t_mixture(n, mixture, policy))
+    curve = LrSupCurve(eval=lambda n: lr_sup_t_mixture(n, mixture))
     report = min_n_search(curve, target, n_max=n_max)
     q = report.q_value
     if q <= 1.0:

@@ -8,10 +8,12 @@ The series summators are the workhorse: every likelihood-ratio supremum in
 this package is a Poisson-type series whose terms rise to a single mode and
 then decay, and whose magnitude can exceed float range.  Summation therefore
 runs against a moving scale factor, and truncation is only allowed once the
-terms are past their mode.  sum_series and log_sum_series take one series as
-a Python iterable and add it term by term with compensated addition;
-log_sum_rows sums many series at once, a numpy chunk of terms at a time, in
-the log domain.
+terms are past their mode.  One fixed rule serves every series: the sum
+stops at the first past-mode term at most 1e-14 times the partial sum, and a
+series not stopped after 10^6 terms raises SeriesDivergenceError.
+sum_series and log_sum_series take one series as a Python iterable and add
+it term by term with compensated addition; log_sum_rows sums many series at
+once, a numpy chunk of terms at a time, in the log domain.
 
 The Brent polish is a line-for-line port of scipy.optimize.brentq, so roots
 match scipy's to the last bit while this module imports no scipy at all.
@@ -20,14 +22,11 @@ match scipy's to the last bit while this module imports no scipy at all.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
 
 __all__ = [
-    "SeriesPolicy",
-    "DEFAULT_SERIES_POLICY",
     "SeriesDivergenceError",
     "RootRangeError",
     "RootBracketError",
@@ -54,40 +53,24 @@ class RootBracketError(RuntimeError):
     """Bracket expansion reached the domain boundary without a sign change."""
 
 
-@dataclass(frozen=True)
-class SeriesPolicy:
-    """Truncation control for series summation.
-
-    rel_tol is the relative size, against the partial sum, below which a
-    past-mode term allows truncation.  max_terms bounds the work; exceeding
-    it raises SeriesDivergenceError.  log_domain anchors the internal scale
-    at the running maximum log term, for series whose sum overflows float
-    range and is only wanted in log form.
-    """
-
-    rel_tol: float = 1e-14
-    max_terms: int = 1_000_000
-    log_domain: bool = False
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.rel_tol <= 1e-6:
-            raise ValueError(f"rel_tol must be in (0, 1e-6], got {self.rel_tol!r}")
-        if self.max_terms < 1000:
-            raise ValueError(f"max_terms must be at least 1000, got {self.max_terms!r}")
-
-
-DEFAULT_SERIES_POLICY = SeriesPolicy()
+# series truncation: a past-mode term at most _REL_TOL times the partial sum
+# ends the sum, and a series still running after _MAX_TERMS terms raises
+# SeriesDivergenceError; both are read at call time
+_REL_TOL = 1e-14
+_MAX_TERMS = 1_000_000
 
 
 def _accumulate(
-    log_terms: Iterable[float], policy: SeriesPolicy
+    log_terms: Iterable[float], log_domain: bool
 ) -> tuple[float, float]:
     """Sum exp(log term) against a moving scale; return (log_scale, scaled_sum).
 
     The true sum is scaled_sum * exp(log_scale).  Terms must be -inf or finite;
     the sequence is treated as unimodal for truncation purposes: truncation is
-    considered only after a strict decrease has been seen.
+    considered only after a strict decrease has been seen.  log_domain anchors
+    the scale at the running maximum log term, for sums wanted only as logs.
     """
+    rel_tol, max_terms = _REL_TOL, _MAX_TERMS
     log_scale = 0.0
     total = 0.0
     comp = 0.0  # Neumaier compensation, same scale as total
@@ -96,10 +79,10 @@ def _accumulate(
     count = 0
     for lt in log_terms:
         count += 1
-        if count > policy.max_terms:
+        if count > max_terms:
             raise SeriesDivergenceError(
-                f"no truncation after {policy.max_terms} terms "
-                f"(last log term {lt:.6g}, rel_tol {policy.rel_tol:g})"
+                f"no truncation after {max_terms} terms "
+                f"(last log term {lt:.6g}, rel_tol {rel_tol:g})"
             )
         if lt < prev_lt:
             past_mode = True
@@ -108,7 +91,7 @@ def _accumulate(
         if lt == -math.inf:
             term = 0.0
         else:
-            if (policy.log_domain and lt > log_scale) or lt - log_scale > _RESCALE_AT:
+            if (log_domain and lt > log_scale) or lt - log_scale > _RESCALE_AT:
                 factor = math.exp(log_scale - lt)
                 total *= factor
                 comp *= factor
@@ -121,22 +104,20 @@ def _accumulate(
             comp += (term - s) + total
         total = s
 
-        if past_mode and term <= policy.rel_tol * total:
+        if past_mode and term <= rel_tol * total:
             break
     return log_scale, total + comp
 
 
-def sum_series(
-    log_terms: Iterable[float], policy: SeriesPolicy = DEFAULT_SERIES_POLICY
-) -> float:
+def sum_series(log_terms: Iterable[float]) -> float:
     """Sum a series of positive terms given by their natural logs.
 
     Truncates once terms are decreasing and the current term is below
-    rel_tol times the partial sum; a generator that ends earlier is summed
+    1e-14 times the partial sum; a generator that ends earlier is summed
     exactly as a finite series.  May return inf if the sum overflows float
     range; use log_sum_series when that is expected.
     """
-    log_scale, total = _accumulate(log_terms, policy)
+    log_scale, total = _accumulate(log_terms, log_domain=False)
     if log_scale == 0.0:
         return total
     if total <= 0.0:
@@ -147,28 +128,21 @@ def sum_series(
     return total * math.exp(log_scale)
 
 
-def log_sum_series(
-    log_terms: Iterable[float], policy: SeriesPolicy = DEFAULT_SERIES_POLICY
-) -> float:
+def log_sum_series(log_terms: Iterable[float]) -> float:
     """Natural log of sum_series, computed without leaving float range."""
-    if not policy.log_domain:
-        policy = SeriesPolicy(policy.rel_tol, policy.max_terms, log_domain=True)
-    log_scale, total = _accumulate(log_terms, policy)
+    log_scale, total = _accumulate(log_terms, log_domain=True)
     if total <= 0.0:
         return -math.inf
     return math.log(total) + log_scale
 
 
 # log_sum_rows chunk widths: small first chunks keep short series cheap, and
-# the cap on cells per chunk bounds memory whatever max_terms is
+# the cap on cells per chunk bounds memory whatever the term budget is
 _FIRST_CHUNK = 64
 _MAX_CHUNK_CELLS = 16384
 
 
-def log_sum_rows(
-    chunk: Callable[[int, int], np.ndarray],
-    policy: SeriesPolicy = DEFAULT_SERIES_POLICY,
-) -> np.ndarray:
+def log_sum_rows(chunk: Callable[[int, int], np.ndarray]) -> np.ndarray:
     """Natural logs of the sums of several positive series, one per row.
 
     chunk(k0, k1) returns the finite log terms k0 <= k < k1 of every series
@@ -179,26 +153,26 @@ def log_sum_rows(
     The truncation rule is the one sum_series applies, checked at chunk
     ends: summation stops once, in every row, the terms are past their mode
     (the last term is below the chunk's largest) and the last term is at
-    most rel_tol times the partial sum.  Chunks double from 64 terms up to
-    16384 cells.  Raises SeriesDivergenceError after max_terms terms.
+    most 1e-14 times the partial sum.  Chunks double from 64 terms up to
+    16384 cells.  Raises SeriesDivergenceError after 10^6 terms.
     """
     k0, width = 0, _FIRST_CHUNK
     top, total = -math.inf, 0.0  # become one entry per row at the first chunk
     while True:
-        k1 = min(k0 + width, policy.max_terms)
+        k1 = min(k0 + width, _MAX_TERMS)
         lt = chunk(k0, k1)
         chunk_top = lt.max(axis=1)
         new_top = np.maximum(top, chunk_top)
         total = total * np.exp(top - new_top) + np.exp(lt - new_top[:, None]).sum(axis=1)
         top = new_top
         last = lt[:, -1]
-        done = (last < chunk_top) & (np.exp(last - top) <= policy.rel_tol * total)
+        done = (last < chunk_top) & (np.exp(last - top) <= _REL_TOL * total)
         if done.all():
             return top + np.log(total)
-        if k1 == policy.max_terms:
+        if k1 == _MAX_TERMS:
             raise SeriesDivergenceError(
-                f"no truncation after {policy.max_terms} terms "
-                f"(last log term {last[~done].max():.6g}, rel_tol {policy.rel_tol:g})"
+                f"no truncation after {_MAX_TERMS} terms "
+                f"(last log term {last[~done].max():.6g}, rel_tol {_REL_TOL:g})"
             )
         k0 = k1
         width = min(2 * width, max(_FIRST_CHUNK, _MAX_CHUNK_CELLS // len(lt)))
@@ -355,7 +329,9 @@ def _expand_up(
             b = hi - (hi - x) * 0.5**k
             if b <= a:
                 b = 0.5 * (a + hi)
-            if b <= a or k == _MAX_EXPANSIONS:
+            # a step rounded onto hi has reached the boundary: f is not
+            # defined there
+            if not a < b < hi or k == _MAX_EXPANSIONS:
                 raise RootBracketError(
                     f"f stayed below target {target!r} approaching the "
                     f"domain boundary {hi!r}"
@@ -386,7 +362,7 @@ def _expand_down(
             a = lo + (x - lo) * 0.5**k
             if a >= b:
                 a = 0.5 * (lo + b)
-            if a >= b or k == _MAX_EXPANSIONS:
+            if not lo < a < b or k == _MAX_EXPANSIONS:
                 # f is decreasing toward its infimum at the boundary and the
                 # target was never reached: it is below the range
                 raise RootRangeError(

@@ -144,7 +144,7 @@ def test_acceptance_5_optimal_splits():
 
 def test_acceptance_6_score_side():
     start = time.perf_counter()
-    kf_val = k_f(gamma_score_density, mode="density-weighted")
+    kf_val = k_f(gamma_score_density)
     kf_err = abs(kf_val - (1.0 - math.log(2.0)))
     worst = 0.0
     target = PfdrTarget(alpha=0.01, pi=0.2)

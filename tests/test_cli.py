@@ -7,8 +7,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from pfdr_sizer.cli import main, parse_config
+from pfdr_sizer.cli import _to_json, main, parse_config
 
 PLAN_F_ARGS = [
     "plan-f", "--alpha", "0.05", "--pi", "0.1", "--delta", "1", "--p", "10000",
@@ -19,6 +21,29 @@ def _run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+_TEXT = st.text(max_size=12) | st.sampled_from(
+    ['"', "\\", '\\"', "\t\n\r\x00\x1f", "\x7f", "é ü ∞ 漢 😀"]
+)
+_REPORTS = st.recursive(
+    st.floats() | st.integers() | st.none() | st.booleans() | _TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+def _as_parsed(obj):
+    """What json.loads must return for _to_json(obj): non-finite floats
+    travel as strings, every other value exactly."""
+    if isinstance(obj, dict):
+        return {key: _as_parsed(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_as_parsed(value) for value in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "NaN" if math.isnan(obj) else ("Infinity" if obj > 0 else "-Infinity")
+    return obj
 
 
 class TestReportShape:
@@ -82,6 +107,20 @@ class TestReportShape:
         report = json.loads(out, parse_constant=reject)
         assert report["diagnostics"]["domain_sup"] == "Infinity"
         assert report["diagnostics"]["domain_inf"] == "-Infinity"
+
+    def test_control_characters_in_inputs_stay_valid_json(self, capsys):
+        atoms = "1:0.5,\t2:0.5"
+        code, out, _ = _run(
+            capsys,
+            ["plan-t-mixture", "--alpha", "0.05", "--pi", "0.1", "--atoms", atoms],
+        )
+        assert code == 0
+        assert "\t" not in out
+        assert json.loads(out)["inputs"]["atoms"] == atoms
+
+    @given(_REPORTS)
+    def test_any_report_round_trips(self, report):
+        assert json.loads(_to_json(report)) == _as_parsed(report)
 
 
 class TestCommands:
@@ -216,6 +255,15 @@ class TestFailureStatuses:
         assert report["status"] == "insufficient-hits"
         assert report["outputs"]["ratio_hat"] is None
 
+    def test_underflowing_f_effect_is_not_attainable(self, capsys):
+        code, out, err = _run(
+            capsys,
+            ["plan-f", "--alpha", "0.05", "--pi", "0.1", "--delta", "1e-300", "--p", "3"],
+        )
+        assert code == 1
+        assert err == ""
+        assert json.loads(out)["status"] == "not-attainable"
+
     def test_degenerate_scenario_exit_one(self, capsys):
         code, out, _ = _run(
             capsys,
@@ -299,6 +347,42 @@ class TestUsageErrors:
         assert code == 2
         assert out == ""
         assert "MAX_DRAW_CELLS" in err
+
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (["plan-t", "--snr", "inf"], "signal-to-noise ratio"),
+            (["plan-f", "--delta", "inf", "--p", "3"], "delta"),
+            (["plan-t-mixture", "--atoms", "inf:1"], "atom location"),
+            (["plan-t-mixture", "--atoms", "1:1", "--scale", "inf"], "scale"),
+            (["plan-general", "--family", "normal", "--sigma", "inf"], "sigma"),
+            (["plan-general", "--family", "uniform", "--width", "inf"], "width"),
+            (["plan-general", "--family", "gamma", "--shape", "inf"], "shape"),
+            (["plan-general", "--family", "gamma", "--shape", "2", "--scale", "inf"], "scale"),
+            (["plan-score", "--family", "normal-score", "--sigma", "inf"], "sigma"),
+            (["simulate", "--family", "normal", "--sigma", "inf"], "sigma"),
+        ],
+    )
+    def test_non_finite_effect_or_parameter(self, capsys, argv, name):
+        command, rest = argv[0], argv[1:]
+        if command == "simulate":
+            rest += ["--n", "4", "--m", "4", "--trials", "2", "--z0", "0.5"]
+        else:
+            rest += ["--alpha", "0.05", "--pi", "0.1"]
+        if command in ("plan-general", "plan-score"):
+            rest += ["--effect", "0.3", "--rho", "0.5"]
+        code, out, err = _run(capsys, [command, *rest])
+        assert code == 2
+        assert out == ""
+        assert f"{name} must be positive and finite" in err
+
+    def test_slope_beyond_the_cgf_domain_edge(self, capsys):
+        code, out, err = _run(
+            capsys, ["ldp-info", "--family", "gamma", "--shape", "1", "--u", "1e308"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "outside the derivative range" in err
 
     def test_invalid_alpha(self, capsys):
         code, _, err = _run(

@@ -20,6 +20,11 @@ class TestLrSupF:
         assert lr_sup_f(3, 10, 1e-9) == pytest.approx(1.0, abs=1e-6)
         assert lr_sup_f(3, 10, 0.0) == 1.0
 
+    def test_underflowing_noncentrality(self):
+        # A = (n + p) delta^2 / 2 underflows to 0, where K = 1 exactly
+        assert lr_sup_f(3, 5, 1e-300) == 1.0
+        assert log_lr_sup_f(3, 5, 1e-300) == 0.0
+
     def test_large_p_collapses_to_power_law(self):
         # (1 + delta^2)^(n/2) with n = 5, delta = 1: 2^(5/2)
         assert lr_sup_f(2000, 5, 1.0) == pytest.approx(2.0**2.5, rel=2e-2)

@@ -15,6 +15,7 @@ from pfdr_sizer.ldp_engine import (
     UnsupportedFamilyError,
     empirical_cgf,
     gamma_score_density,
+    gamma_score_model,
     k_f,
     legendre,
     make_family,
@@ -157,6 +158,15 @@ class TestLegendre:
         with pytest.raises(RootRangeError):
             legendre(cgf, 0.6)
 
+    def test_slope_beyond_a_finite_domain_edge(self):
+        # the bracket walk toward the domain edge rounds onto it; the cgf,
+        # which rejects its edge, must not be evaluated there
+        cgf, _ = make_family("gamma", shape=1.0)
+        with pytest.raises(RootRangeError, match="outside the derivative range"):
+            legendre(cgf, 1e308)
+        with pytest.raises(RootRangeError, match="below the range"):
+            legendre(gamma_score_model().cgf, -1e20)
+
 
 class TestSolveT0:
     def test_normal_closed_form(self):
@@ -238,7 +248,7 @@ class TestOptimalSplit:
 
 class TestKf:
     def test_gamma_score_exact_value(self):
-        got = k_f(gamma_score_density, mode="density-weighted")
+        got = k_f(gamma_score_density)
         assert got == pytest.approx(1.0 - math.log(2.0), abs=1e-8)
 
     def test_gamma_score_alternative_quadrature(self):
@@ -251,16 +261,11 @@ class TestKf:
 
     def test_even_density_gives_zero(self):
         pdf = lambda z: math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-        assert k_f(pdf, mode="density-weighted") == pytest.approx(0.0, abs=1e-9)
-        assert k_f(pdf, mode="symmetric") == 0.0
+        assert k_f(pdf) == pytest.approx(0.0, abs=1e-9)
 
     def test_non_integrable_density_raises(self):
         with pytest.raises(QuadratureError):
-            k_f(lambda z: 1.0, mode="density-weighted")
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            k_f(gamma_score_density, mode="fancy")
+            k_f(lambda z: 1.0)
 
     def test_score_models_carry_their_k_f(self):
         assert SCORES["normal-score"].k_f == 0.0
@@ -396,7 +401,7 @@ class TestEmpiricalCgf:
 
     def test_overflow_hull_clips_domain(self):
         sample = np.concatenate([RNG.standard_normal(5_000), [100.0]])
-        cgf = empirical_cgf(sample, t_grid=(-10.0, 10.0), overflow_budget=700.0)
+        cgf = empirical_cgf(sample, t_grid=(-10.0, 10.0))
         assert cgf.domain_sup < 10.0
 
     def test_small_sample_rejected(self):

@@ -111,7 +111,7 @@ class TestMixture:
     def test_point_mass_matches_single_effect(self):
         target = PfdrTarget(alpha=0.05, pi=0.1)
         single = plan_t(target, SnrEffect(r=0.01))
-        mixed = plan_t_mixture(target, SnrMixture.point(1.0, scale=0.01))
+        mixed = plan_t_mixture(target, SnrMixture(((1.0, 1.0),), 0.01))
         assert mixed.n_exact == single.n_exact
         assert mixed.n_asymptotic == pytest.approx(single.n_asymptotic, rel=1e-12)
 
@@ -151,9 +151,9 @@ class TestMixture:
             SnrMixture.from_density(pdf, (0.5, 2.0))
 
     def test_atom_budget(self):
-        pdf = lambda x: 4.0 * x * math.exp(-2.0 * x)
-        with pytest.raises(ValueError):
-            SnrMixture.from_density(pdf, (1e-8, 30.0), n_atoms=MAX_MIXTURE_ATOMS + 1)
+        k = MAX_MIXTURE_ATOMS + 1
+        with pytest.raises(ValueError, match=f"at most {MAX_MIXTURE_ATOMS} atoms"):
+            SnrMixture(atoms=tuple((1.0 + i, 1.0 / k) for i in range(k)))
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):
@@ -163,7 +163,7 @@ class TestMixture:
 
     def test_trivial_target_rate_zero(self):
         report = plan_t_mixture(
-            PfdrTarget(alpha=0.5, pi=0.5), SnrMixture.point(0.5)
+            PfdrTarget(alpha=0.5, pi=0.5), SnrMixture(((0.5, 1.0),))
         )
         assert report.diagnostics["mgf_rate"] == 0.0
         assert report.n_exact == 1

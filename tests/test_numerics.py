@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 import oracles
+from pfdr_sizer import numerics
 from pfdr_sizer.ldp_engine import cauchy_score_model, gamma_score_model
 from pfdr_sizer.numerics import (
     _BRENT_RTOL,
-    DEFAULT_SERIES_POLICY,
     RootBracketError,
     RootRangeError,
     SeriesDivergenceError,
-    SeriesPolicy,
     find_root_increasing,
     log_sum_rows,
     log_sum_series,
@@ -161,36 +160,25 @@ class TestSumSeries:
         assert sum_series(iter([])) == 0.0
         assert sum_series(iter([-math.inf, -math.inf])) == 0.0
 
-    def test_divergence_detected(self):
+    def test_divergence_detected(self, monkeypatch):
         def flat():
             while True:
                 yield 0.0
 
-        policy = SeriesPolicy(rel_tol=1e-14, max_terms=1000)
+        monkeypatch.setattr(numerics, "_MAX_TERMS", 1000)
         with pytest.raises(SeriesDivergenceError):
-            sum_series(flat(), policy=policy)
+            sum_series(flat())
 
-    def test_growing_terms_detected(self):
+    def test_growing_terms_detected(self, monkeypatch):
         def growing():
             k = 0
             while True:
                 yield 0.1 * k
                 k += 1
 
-        policy = SeriesPolicy(rel_tol=1e-14, max_terms=1000)
+        monkeypatch.setattr(numerics, "_MAX_TERMS", 1000)
         with pytest.raises(SeriesDivergenceError):
-            sum_series(growing(), policy=policy)
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            SeriesPolicy(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            SeriesPolicy(rel_tol=1e-5)
-        with pytest.raises(ValueError):
-            SeriesPolicy(max_terms=999)
-        # boundary values are allowed
-        SeriesPolicy(rel_tol=1e-6, max_terms=1000)
-        assert DEFAULT_SERIES_POLICY.rel_tol == 1e-14
+            sum_series(growing())
 
 
 def _poisson_rows(lams, widths=None):
@@ -227,23 +215,23 @@ class TestLogSumRows:
         assert sum(widths) > 3000
         assert got == pytest.approx([1.0, 3000.0], rel=1e-13)
 
-    def test_chunks_double_up_to_a_cell_budget(self):
+    def test_chunks_double_up_to_a_cell_budget(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_MAX_TERMS", 50_000)
         for rows in (1, 3, 512):
             widths = []
-            policy = SeriesPolicy(max_terms=50_000)
             with pytest.raises(SeriesDivergenceError):
-                log_sum_rows(_poisson_rows([1e6] * rows, widths), policy)
+                log_sum_rows(_poisson_rows([1e6] * rows, widths))
             assert widths[0] == 64
             assert sum(widths) == 50_000
             assert max(widths) == max(64, 16384 // rows)
             for a, b in zip(widths, widths[1:-1]):
                 assert b == min(2 * a, max(64, 16384 // rows))
 
-    def test_divergence_message_names_last_term_and_tolerance(self):
-        policy = SeriesPolicy(rel_tol=1e-14, max_terms=1000)
+    def test_divergence_message_names_last_term_and_tolerance(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_MAX_TERMS", 1000)
         growing = lambda k0, k1: 0.1 * np.arange(k0, k1, dtype=float)[None, :]
         with pytest.raises(SeriesDivergenceError) as info:
-            log_sum_rows(growing, policy)
+            log_sum_rows(growing)
         assert "no truncation after 1000 terms" in str(info.value)
         assert "last log term 99.9" in str(info.value)
         assert "rel_tol 1e-14" in str(info.value)
@@ -290,6 +278,24 @@ class TestFindRootIncreasing:
             find_root_increasing(math.exp, 2.0, math.nan)
         with pytest.raises(ValueError):
             find_root_increasing(math.exp, 2.0, 5.0, lo=1.0, hi=2.0)
+
+    @pytest.mark.parametrize(
+        "target,lo,hi,error",
+        [(5.0, 0.0, 1.0, RootBracketError), (0.0, 1.0, 2.0, RootRangeError)],
+    )
+    def test_never_evaluates_on_a_finite_boundary(self, target, lo, hi, error):
+        # halving the gap to a boundary rounds onto it after about 53 steps;
+        # the walk must stop there instead of calling f outside (lo, hi)
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return t
+
+        with pytest.raises(error):
+            find_root_increasing(f, target, 0.5 * (lo + hi), lo=lo, hi=hi)
+        assert len(calls) > 50
+        assert all(lo < t < hi for t in calls)
 
 
 # increasing shapes with their sign change at u = 0; "stairs" is flat between
