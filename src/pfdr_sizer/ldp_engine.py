@@ -37,6 +37,7 @@ planners, the CLI and mc_verify all read their families from it.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
@@ -176,10 +177,31 @@ class SplitOptimum:
 # built-in data families
 
 
+def _positive(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+# smallest curvature whose reciprocal is finite
+_TINY = 1.0 / sys.float_info.max
+
+
+def _curvature(
+    value: float, expr: str, smallest: float = _TINY, **params: float
+) -> float:
+    # a cgf's curvature sets the root solves' starting points; one that
+    # overflows, or underflows below smallest, would send them to 0 or inf
+    if value == math.inf or value < smallest:
+        given = ", ".join(f"{key} = {v!r}" for key, v in params.items())
+        if value == math.inf:
+            raise ValueError(f"{given}: too large, {expr} overflows")
+        raise ValueError(f"{given}: too small, {expr} underflows")
+    return value
+
+
 def normal_family(sigma: float = 1.0) -> tuple[CgfModel, TailIndex]:
-    if not 0.0 < sigma < math.inf:
-        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
-    s2 = sigma * sigma
+    _positive("sigma", sigma)
+    s2 = _curvature(sigma * sigma, "sigma^2", sigma=sigma)
     cgf = CgfModel(
         lambda_fn=lambda t: 0.5 * s2 * t * t,
         lambda_d1=lambda t: s2 * t,
@@ -220,8 +242,8 @@ def _uniform_lambda_d2(t: float) -> float:
 
 def uniform_family(width: float = 1.0) -> tuple[CgfModel, TailIndex]:
     """Uniform on an interval of the given width, centered."""
-    if not 0.0 < width < math.inf:
-        raise ValueError(f"width must be positive and finite, got {width!r}")
+    _positive("width", width)
+    _curvature(width * width / 12.0, "width^2 / 12", width=width)
     w = width
     cgf = CgfModel(
         lambda_fn=lambda t: _uniform_lambda(w * t),
@@ -240,11 +262,15 @@ def gamma_family(shape: float, scale: float = 1.0) -> tuple[CgfModel, TailIndex]
     at shape = 1/2 it diverges logarithmically and below it like a power,
     so the tail index is lam = 2 * shape - 1 there.
     """
-    if not 0.0 < shape < math.inf:
-        raise ValueError(f"shape must be positive and finite, got {shape!r}")
-    if not 0.0 < scale < math.inf:
-        raise ValueError(f"scale must be positive and finite, got {scale!r}")
+    _positive("shape", shape)
+    _positive("scale", scale)
+    tail = min(0.0, 2.0 * shape - 1.0)
+    if tail == -1.0:
+        raise ValueError(f"shape = {shape!r}: too small, 2 shape - 1 rounds to -1")
     a, b = shape, scale
+    # the finite domain t < 1 / scale bounds the root solves, so any
+    # nonzero curvature will do
+    _curvature(a * b * b, "shape * scale^2", math.ulp(0.0), shape=a, scale=b)
     sup = 1.0 / b
 
     def lam(t: float) -> float:
@@ -266,7 +292,7 @@ def gamma_family(shape: float, scale: float = 1.0) -> tuple[CgfModel, TailIndex]
         domain_sup=sup,
         family_tag=f"gamma(shape={shape:g},scale={scale:g})",
     )
-    return cgf, TailIndex(lam=min(0.0, 2.0 * a - 1.0))
+    return cgf, TailIndex(lam=tail)
 
 
 def _check_below(t: float, sup: float) -> None:
@@ -280,9 +306,8 @@ def _check_below(t: float, sup: float) -> None:
 
 def normal_score_model(sigma: float = 1.0) -> ScoreModel:
     """Location score of normal data: X = omega / sigma^2, standard deviation 1/sigma."""
-    if not 0.0 < sigma < math.inf:
-        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
-    inv_s2 = 1.0 / (sigma * sigma)
+    _positive("sigma", sigma)
+    inv_s2 = 1.0 / _curvature(sigma * sigma, "sigma^2", sigma=sigma)
     cgf = CgfModel(
         lambda_fn=lambda t: 0.5 * inv_s2 * t * t,
         lambda_d1=lambda t: inv_s2 * t,
@@ -386,11 +411,21 @@ def gamma_score_density(x: float) -> float:
 # N(0, sigma^2 / n), and independently m S^2 / sigma^2 is chi-square with m
 # degrees of freedom, since each pair difference is N(0, 2 sigma^2).  Gamma
 # draws its mean as one Gamma(n * shape), the law of a sum of n
-# Gamma(shape) draws.  The other samplers draw raw observations.
+# Gamma(shape) draws.  The other samplers draw raw observations in row
+# chunks of about _CHUNK_CELLS cells and keep only each row's statistics,
+# so a block holds O(size) memory whatever n and m are.  All mean chunks
+# are drawn before all scale chunks; numpy fills arrays row-major, so
+# uniform, gamma and cauchy-score consume the stream exactly as one
+# (size, n) and one (size, 2m) draw would.  Gamma-score draws each chunk's
+# exponentials and then its gammas.
 
-# cap on the cells of one (size, columns) float64 array of raw draws, 1 GiB;
-# a sampler builds several such arrays, so larger blocks are refused
+# cap on the raw draws of one block, size * (n or 2m); chunking keeps a
+# block's memory small, so the cap bounds the work (time) of one block
 MAX_DRAW_CELLS = 2**27
+
+# cells per chunk of raw draws: 256 KiB per float64 array, so a chunk's
+# arrays stay in L2 cache
+_CHUNK_CELLS = 2**15
 
 
 def _check_cells(size: int, columns: int) -> None:
@@ -400,6 +435,20 @@ def _check_cells(size: int, columns: int) -> None:
             f"MAX_DRAW_CELLS = {MAX_DRAW_CELLS} cells per block; lower n, m "
             "or the statistics per block (batch_nulls in simulate_pfdr)"
         )
+
+
+def _by_chunks(
+    size: int, columns: int, chunk: Callable[[int], np.ndarray]
+) -> np.ndarray:
+    # chunk(k) draws the next k rows of columns raw observations and returns
+    # their statistics, last axis over rows; chunks run in row order
+    step = max(1, _CHUNK_CELLS // columns)
+    parts = [chunk(min(step, size - start)) for start in range(0, size, step)]
+    return np.concatenate(parts, axis=-1)
+
+
+def _row_mean(obs: np.ndarray) -> np.ndarray:
+    return obs.mean(axis=1)
 
 
 def _pair_scale(obs: np.ndarray) -> np.ndarray:
@@ -416,15 +465,17 @@ def _sample_normal(rng, size, n, m, effect, sigma):
 
 def _sample_uniform(rng, size, n, m, effect, width):
     _check_cells(size, max(n, 2 * m))
-    xbar0 = width * (rng.random((size, n)) - 0.5).mean(axis=1)
-    s0 = width * _pair_scale(rng.random((size, 2 * m)))
+    xbar0 = width * _by_chunks(size, n, lambda k: _row_mean(rng.random((k, n)) - 0.5))
+    s0 = width * _by_chunks(size, 2 * m, lambda k: _pair_scale(rng.random((k, 2 * m))))
     return xbar0, s0, xbar0 + effect, s0
 
 
 def _sample_gamma(rng, size, n, m, effect, shape, scale):
     _check_cells(size, 2 * m)
     xbar0 = scale * (rng.standard_gamma(n * shape, size) / n - shape)
-    s0 = scale * _pair_scale(rng.standard_gamma(shape, (size, 2 * m)))
+    s0 = scale * _by_chunks(
+        size, 2 * m, lambda k: _pair_scale(rng.standard_gamma(shape, (k, 2 * m)))
+    )
     return xbar0, s0, xbar0 + effect, s0
 
 
@@ -438,30 +489,42 @@ def _cauchy_score(w: np.ndarray) -> np.ndarray:
     return 2.0 * w / (1.0 + w * w)
 
 
+def _score_stats(size, n, m, scores):
+    # scores(k, columns) draws k rows of columns observations and returns
+    # their null scores and their shifted scores
+    def part(columns, reduce):
+        def chunk(k):
+            null, shifted = scores(k, columns)
+            return np.stack((reduce(null), reduce(shifted)))
+
+        return _by_chunks(size, columns, chunk)
+
+    xbar0, xbar1 = part(n, _row_mean)
+    s0, s1 = part(2 * m, _pair_scale)
+    return xbar0, s0, xbar1, s1
+
+
 def _sample_cauchy_score(rng, size, n, m, effect):
     _check_cells(size, max(n, 2 * m))
-    w = rng.standard_cauchy((size, n))
-    xbar0 = _cauchy_score(w).mean(axis=1)
-    xbar1 = _cauchy_score(w + effect).mean(axis=1)
-    w2 = rng.standard_cauchy((size, 2 * m))
-    s0 = _pair_scale(_cauchy_score(w2))
-    s1 = _pair_scale(_cauchy_score(w2 + effect))
-    return xbar0, s0, xbar1, s1
+
+    def scores(k, columns):
+        w = rng.standard_cauchy((k, columns))
+        return _cauchy_score(w), _cauchy_score(w + effect)
+
+    return _score_stats(size, n, m, scores)
 
 
 def _sample_gamma_score(rng, size, n, m, effect):
     # unit-rate exponential data; a location shift of size theta adds an
     # independent Gamma(theta) by shape additivity
     _check_cells(size, max(n, 2 * m))
-    w = rng.standard_exponential((size, n))
-    g = rng.standard_gamma(effect, (size, n)) if effect > 0.0 else 0.0
-    xbar0 = (np.log(w) + EULER_GAMMA).mean(axis=1)
-    xbar1 = (np.log(w + g) + EULER_GAMMA).mean(axis=1)
-    w2 = rng.standard_exponential((size, 2 * m))
-    g2 = rng.standard_gamma(effect, (size, 2 * m)) if effect > 0.0 else 0.0
-    s0 = _pair_scale(np.log(w2) + EULER_GAMMA)
-    s1 = _pair_scale(np.log(w2 + g2) + EULER_GAMMA)
-    return xbar0, s0, xbar1, s1
+
+    def scores(k, columns):
+        w = rng.standard_exponential((k, columns))
+        g = rng.standard_gamma(effect, (k, columns)) if effect > 0.0 else 0.0
+        return np.log(w) + EULER_GAMMA, np.log(w + g) + EULER_GAMMA
+
+    return _score_stats(size, n, m, scores)
 
 
 # ---------------------------------------------------------------------------

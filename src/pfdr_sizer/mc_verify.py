@@ -17,8 +17,11 @@ draw the two statistics from their exact laws, xbar ~ N(0, sigma^2 / n) and
 m S^2 / sigma^2 ~ chi^2_m, so a null costs two draws whatever n and m are;
 gamma draws its mean as one Gamma(n * shape), the law of a sum of n
 Gamma(shape) draws, and its scale from 2m raw observations.  The other
-families draw all n + 2m raw observations, and a block whose raw draws would
-pass ldp_engine.MAX_DRAW_CELLS cells is refused with ValueError.
+families draw all n + 2m raw observations, in row chunks of a fixed number
+of cells that are reduced to per-statistic means and scales at once, so a
+block's memory grows with its statistics, not with n + 2m.  A block whose
+raw draws would pass ldp_engine.MAX_DRAW_CELLS is refused with ValueError;
+the cap bounds the work of one block.
 
 Streams are counter-based and keyed by (seed, block index), so results are
 bit-identical across repeat runs and across thread counts; the thread pool

@@ -324,6 +324,17 @@ class TestFailureStatuses:
         assert "rho_1 = 0.5" in report["diagnostics"]["message"]
 
 
+def _with_required(argv):
+    command, rest = argv[0], argv[1:]
+    if command == "simulate":
+        rest += ["--n", "4", "--m", "4", "--trials", "2", "--z0", "0.5"]
+    else:
+        rest += ["--alpha", "0.05", "--pi", "0.1"]
+    if command in ("plan-general", "plan-score"):
+        rest += ["--effect", "0.3", "--rho", "0.5"]
+    return [command, *rest]
+
+
 class TestUsageErrors:
     def test_invalid_trials(self, capsys):
         code, out, err = _run(
@@ -364,17 +375,34 @@ class TestUsageErrors:
         ],
     )
     def test_non_finite_effect_or_parameter(self, capsys, argv, name):
-        command, rest = argv[0], argv[1:]
-        if command == "simulate":
-            rest += ["--n", "4", "--m", "4", "--trials", "2", "--z0", "0.5"]
-        else:
-            rest += ["--alpha", "0.05", "--pi", "0.1"]
-        if command in ("plan-general", "plan-score"):
-            rest += ["--effect", "0.3", "--rho", "0.5"]
-        code, out, err = _run(capsys, [command, *rest])
+        code, out, err = _run(capsys, _with_required(argv))
         assert code == 2
         assert out == ""
         assert f"{name} must be positive and finite" in err
+
+    @pytest.mark.parametrize(
+        "args,name,what",
+        [
+            ("plan-general --family normal --sigma 1e300", "sigma", "large"),
+            ("plan-general --family normal --sigma 1e-200", "sigma", "small"),
+            ("plan-general --family uniform --width 1e300", "width", "large"),
+            ("plan-general --family uniform --width 1e-160", "width", "small"),
+            ("plan-general --family gamma --shape 2 --scale 1e300", "scale", "large"),
+            ("plan-general --family gamma --shape 1e200 --scale 1e100", "shape", "large"),
+            ("plan-general --family gamma --shape 1e-20", "shape", "small"),
+            ("plan-score --family normal-score --sigma 1e300", "sigma", "large"),
+            ("plan-score --family normal-score --sigma 1e160", "sigma", "large"),
+            ("plan-score --family normal-score --sigma 1e-300", "sigma", "small"),
+        ],
+    )
+    def test_parameter_out_of_float_range(self, capsys, args, name, what):
+        # the family's curvature (or gamma's tail index) would overflow or
+        # underflow; the error names the parameter, not a root-solver argument
+        code, out, err = _run(capsys, _with_required(args.split()))
+        assert code == 2
+        assert out == ""
+        assert f"{name} = " in err
+        assert f"too {what}" in err
 
     def test_slope_beyond_the_cgf_domain_edge(self, capsys):
         code, out, err = _run(
