@@ -13,6 +13,7 @@ __version__ = "0.1.0"
 
 from .pfdr_core import (
     LrSupCurve,
+    NonMonotoneCurveError,
     NotAttainableError,
     PfdrTarget,
     PlanReport,
@@ -52,6 +53,7 @@ __all__ = [
     "PlanReport",
     "LrSupCurve",
     "NotAttainableError",
+    "NonMonotoneCurveError",
     "q_threshold",
     "min_pfdr",
     "min_n_search",

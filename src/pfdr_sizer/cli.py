@@ -45,7 +45,12 @@ from .mc_verify import (
 )
 from .normal_t import SnrEffect, SnrMixture, plan_t, plan_t_mixture
 from .numerics import RootBracketError, SeriesDivergenceError
-from .pfdr_core import InvalidRatioError, NotAttainableError, PfdrTarget
+from .pfdr_core import (
+    InvalidRatioError,
+    NonMonotoneCurveError,
+    NotAttainableError,
+    PfdrTarget,
+)
 
 __all__ = ["RunConfig", "UsageError", "parse_config", "run", "main", "main_entry"]
 
@@ -350,6 +355,7 @@ _FAULT_STATUS = {
     RootBracketError: "root-not-bracketed",
     SeriesDivergenceError: "series-diverged",
     InvalidRatioError: "invalid-ratio",
+    NonMonotoneCurveError: "non-monotone-curve",
 }
 
 

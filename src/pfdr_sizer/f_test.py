@@ -173,15 +173,18 @@ def quadratic_root_n(p: int, delta: float, a: float) -> float:
 def plan_f(target: PfdrTarget, effect: FEffect, n_max: int = 10_000_000) -> PlanReport:
     """Minimum denominator degrees of freedom n with K(p, n, delta) >= Q.
 
-    Runs the exact curve search and evaluates all three approximations; the
-    one matching the (delta, p) regime is reported as n_asymptotic, the rest
-    ride along in diagnostics.
+    Runs the exact curve search from the quadratic root and evaluates all
+    three approximations; the one matching the (delta, p) regime is reported
+    as n_asymptotic, the rest ride along in diagnostics.
     """
     delta, p = effect.delta, effect.p
     curve = LrSupCurve(eval=lambda n: lr_sup_f(p, n, delta))
-    report = min_n_search(curve, target, n_max=n_max)
-    q = report.q_value
+    q = target.q()
     a = math.log(q)
+    # the quadratic root starts the search; it has no meaning for a <= 0,
+    # where n = 1 suffices, or when delta^2 underflows and K stays at 1
+    n_quad = quadratic_root_n(p, delta, a) if a > 0.0 and delta * delta > 0.0 else 1.0
+    report = min_n_search(curve, target, n_max=n_max, hint=n_quad)
 
     if a <= 0.0:
         n_mgf = n_quad = n_logpow = 1.0
@@ -193,7 +196,7 @@ def plan_f(target: PfdrTarget, effect: FEffect, n_max: int = 10_000_000) -> Plan
             lo=0.0,
         )
         n_mgf = max(1.0, t_star / delta)
-        n_quad = max(1.0, quadratic_root_n(p, delta, a))
+        n_quad = max(1.0, n_quad)
         n_logpow = max(1.0, math.ceil(2.0 * a / math.log1p(delta * delta)))
 
     if delta * delta * p >= _LOGPOW_MIN_D2P and delta >= _LOGPOW_MIN_DELTA:

@@ -649,6 +649,8 @@ def solve_t0(cgf: CgfModel, tail: TailIndex, split: SplitSpec) -> float:
             "cgf has no curvature at the origin; the data carry no signal"
         )
     hint = math.sqrt(rhs / d2_0)
+    if math.isinf(hint):  # rhs / d2_0 overflowed; the roots apart do not
+        hint = math.sqrt(rhs) / math.sqrt(d2_0)
     sup = cgf.domain_sup
     if math.isfinite(sup) and hint >= sup:
         hint = 0.5 * sup

@@ -26,7 +26,13 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .numerics import find_root_increasing, log_sum_rows, log_sum_series, sum_series
+from .numerics import (
+    RootBracketError,
+    find_root_increasing,
+    log_sum_rows,
+    log_sum_series,
+    sum_series,
+)
 from .pfdr_core import LrSupCurve, PfdrTarget, PlanReport, min_n_search
 
 __all__ = [
@@ -182,21 +188,23 @@ def plan_t(target: PfdrTarget, effect: SnrEffect, n_max: int = 10_000_000) -> Pl
     """Minimum degrees of freedom n with L(n, r) >= Q(alpha, pi).
 
     The per-null sample size is n + 1 observations.  n_asymptotic carries the
-    large-n rate approximation ln(Q) / r alongside the exact search result.
+    large-n rate approximation ln(Q) / r, which also starts the exact search.
     """
     curve = LrSupCurve(eval=lambda n: lr_sup_t(n, effect.r))
-    report = min_n_search(curve, target, n_max=n_max)
-    q = report.q_value
+    q = target.q()
+    log_q = math.log(q)
+    n_rate = log_q / effect.r
+    report = min_n_search(curve, target, n_max=n_max, hint=n_rate)
     diagnostics = dict(report.diagnostics)
     diagnostics["snr"] = effect.r
-    diagnostics["log_q"] = math.log(q)
+    diagnostics["log_q"] = log_q
     assert report.n_exact is not None
     diagnostics["delta_at_n_exact"] = math.sqrt(report.n_exact + 1.0) * effect.r
     return PlanReport(
         n_exact=report.n_exact,
         # a sample size below one observation is meaningless, so the rate
         # approximation is floored there for trivially attainable targets
-        n_asymptotic=max(1.0, math.log(q) / effect.r),
+        n_asymptotic=max(1.0, n_rate),
         regime=REGIME_T_RATE,
         q_value=q,
         diagnostics=diagnostics,
@@ -234,30 +242,42 @@ def _mixture_mgf(mixture: SnrMixture, a: float) -> float:
     return sum(w * math.exp(min(a * r, 709.0)) for r, w in mixture.atoms)
 
 
+def _mgf_rate(mixture: SnrMixture, q: float) -> float:
+    """Root a* of E[exp(a R)] = Q; 0 when Q <= 1."""
+    if q <= 1.0:
+        return 0.0
+    mean_r = sum(w * r for r, w in mixture.atoms)
+    return find_root_increasing(
+        lambda a: _mixture_mgf(mixture, a),
+        q,
+        bracket_hint=math.log(q) / mean_r,
+        lo=0.0,
+    )
+
+
 def plan_t_mixture(
     target: PfdrTarget, mixture: SnrMixture, n_max: int = 10_000_000
 ) -> PlanReport:
     """Minimum n for a mixture prior on the signal-to-noise ratio.
 
-    The exact search runs on the averaged ratio curve.  The asymptotic plan
-    solves E[exp(a R)] = Q for a and reports n_asymptotic = a / scale: along
-    n * scale -> a, the averaged ratio converges to that expectation, so its
-    inverse is the right large-n rate.  A point mass reduces both answers to
-    plan_t with r = scale * r_1.
+    The exact search runs on the averaged ratio curve, starting from the
+    asymptotic plan.  That plan solves E[exp(a R)] = Q for a and reports
+    n_asymptotic = a / scale: along n * scale -> a, the averaged ratio
+    converges to that expectation, so its inverse is the right large-n rate.
+    A point mass reduces both answers to plan_t with r = scale * r_1.
     """
     curve = LrSupCurve(eval=lambda n: lr_sup_t_mixture(n, mixture))
-    report = min_n_search(curve, target, n_max=n_max)
-    q = report.q_value
-    if q <= 1.0:
-        a_star = 0.0
-    else:
-        mean_r = sum(w * r for r, w in mixture.atoms)
-        a_star = find_root_increasing(
-            lambda a: _mixture_mgf(mixture, a),
-            q,
-            bracket_hint=math.log(q) / mean_r,
-            lo=0.0,
-        )
+    q = target.q()
+    rate_error = None
+    try:
+        a_star = _mgf_rate(mixture, q)
+    except (ValueError, RootBracketError) as exc:
+        # raised only after the search, so that a target the curve cannot
+        # reach still reports as not attainable
+        a_star, rate_error = 0.0, exc
+    report = min_n_search(curve, target, n_max=n_max, hint=a_star / mixture.scale)
+    if rate_error is not None:
+        raise rate_error
     diagnostics = dict(report.diagnostics)
     diagnostics["log_q"] = math.log(q)
     diagnostics["mgf_rate"] = a_star

@@ -224,6 +224,28 @@ class TestCommands:
         assert report["status"] == "ok"
 
 
+    @pytest.mark.parametrize(
+        "args,n_asymptotic",
+        [
+            ("plan-general --family normal --sigma 1e-154", 7.86e-153),
+            ("plan-general --family uniform --width 1e-153", 8.57e-153),
+            ("plan-score --family normal-score --sigma 1e154", 7.86e155),
+        ],
+    )
+    def test_curvature_near_the_float_floor_plans(self, capsys, args, n_asymptotic):
+        # the root search's starting point used to overflow at rho = 0.95
+        argv = args.split() + [
+            "--alpha", "0.05", "--pi", "0.1", "--effect", "0.3", "--rho", "0.95",
+        ]
+        code, out, err = _run(capsys, argv)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["status"] == "ok"
+        assert report["outputs"]["n_asymptotic"] == pytest.approx(
+            n_asymptotic, rel=1e-3
+        )
+
+
 class TestFailureStatuses:
     def test_not_attainable_exit_one_with_report(self, capsys, tmp_path):
         path = tmp_path / "report.json"
@@ -321,7 +343,23 @@ class TestFailureStatuses:
         report = json.loads(out)
         assert report["status"] == "invalid-ratio"
         assert report["outputs"] == {}
-        assert "rho_1 = 0.5" in report["diagnostics"]["message"]
+        # the search starts at plan-f's quadratic-root hint, n = 11 here
+        assert "rho_11 = 0.5" in report["diagnostics"]["message"]
+
+    def test_non_monotone_curve_is_a_fault(self, capsys, monkeypatch):
+        from pfdr_sizer import normal_t
+
+        monkeypatch.setattr(normal_t, "lr_sup_t", lambda n, r: 1e4 / n)
+        code, out, err = _run(
+            capsys, ["plan-t", "--alpha", "0.05", "--pi", "0.1", "--snr", "0.5"]
+        )
+        assert (code, err) == (1, "")
+        report = json.loads(out)
+        assert report["status"] == "non-monotone-curve"
+        assert report["outputs"] == {}
+        message = report["diagnostics"]["message"]
+        assert "rho_1 = 10000.0" in message
+        assert "rho_4 = 2500.0" in message
 
 
 def _with_required(argv):

@@ -168,6 +168,13 @@ class TestLegendre:
             legendre(gamma_score_model().cgf, -1e20)
 
 
+def _cgf_and_tail(name, **params):
+    if name.endswith("-score"):
+        model = make_score_model(name, **params)
+        return model.cgf, model.tail
+    return make_family(name, **params)
+
+
 class TestSolveT0:
     def test_normal_closed_form(self):
         for sigma in [0.5, 1.0, 2.0]:
@@ -204,6 +211,24 @@ class TestSolveT0:
         # and the derivative the equation uses is itself FD-validated
         fd = oracles.central_diff(cgf.lambda_fn, t0)
         assert cgf.lambda_d1(t0) == pytest.approx(fd, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "name,param,value,scale",
+        [
+            ("normal", "sigma", 1e-154, 1e-154),
+            ("uniform", "width", 1e-153, 1e-153),
+            ("normal-score", "sigma", 1e154, 1e-154),
+        ],
+    )
+    def test_curvature_near_the_float_floor(self, name, param, value, scale):
+        # at rho = 0.95 the right side over Lambda''(0) overflows, but the
+        # root is finite: the unit-scale root divided by the data scale
+        split = SplitSpec(rho=0.95)
+        cgf, tail = _cgf_and_tail(name, **{param: value})
+        unit_cgf, _ = _cgf_and_tail(name, **{param: 1.0})
+        t0 = solve_t0(cgf, tail, split)
+        assert t0 * cgf.lambda_d1(t0) == pytest.approx(19.0, rel=1e-10)
+        assert t0 == pytest.approx(solve_t0(unit_cgf, tail, split) / scale, rel=1e-12)
 
     def test_increasing_in_rho(self):
         for cgf, tail in FAMILIES.values():

@@ -1,11 +1,16 @@
+import bisect
 import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from pfdr_sizer import f_test, normal_t
 from pfdr_sizer.pfdr_core import (
     DEFAULT_N_MAX,
     InvalidRatioError,
     LrSupCurve,
+    NonMonotoneCurveError,
     NotAttainableError,
     PfdrTarget,
     min_n_search,
@@ -97,14 +102,16 @@ class TestMinNSearch:
         assert exc.value.rho_at_n_max == pytest.approx(2.0 - 1.0 / 500)
         assert exc.value.q_value == pytest.approx(171.0, rel=1e-12)
 
-    def test_non_monotone_curve_falls_back_to_scan(self):
+    def test_non_monotone_curve_is_an_error(self):
         # doubling lands on a bracket whose interior hides an earlier crossing
         table = {1: 1.0, 2: 3.0, 3: 6.0, 4: 2.0, 5: 2.0, 6: 2.0, 7: 2.0}
         curve = LrSupCurve(lambda n: table.get(n, 10.0))
         target = PfdrTarget(alpha=0.2, pi=0.5)  # Q = 4
-        report = min_n_search(curve, target)
-        assert report.n_exact == 3
-        assert report.diagnostics["monotone_checked"] == 0.0
+        with pytest.raises(NonMonotoneCurveError) as info:
+            min_n_search(curve, target)
+        assert info.value.n_pair == (2, 4)
+        assert "rho_2 = 3.0" in str(info.value)
+        assert "rho_4 = 2.0" in str(info.value)
 
     def test_curve_below_one_rejected(self):
         target = PfdrTarget(alpha=0.2, pi=0.5)
@@ -126,6 +133,96 @@ class TestMinNSearch:
 
     def test_default_ceiling_value(self):
         assert DEFAULT_N_MAX == 10_000_000
+
+
+# Q = 4 (to within an ulp) for the step-curve properties below
+STEP_TARGET = PfdrTarget(alpha=0.2, pi=0.5)
+FIXED_HINTS = (1.0, 0.5, 1e12, math.nan)
+
+
+@st.composite
+def step_curves(draw):
+    """A nondecreasing step curve on [1, n_max] with levels around Q.
+
+    Returns (n_max, jumps, levels): the curve is levels[i] on
+    [jumps[i - 1], jumps[i]).  A jump at n_max + 1 is never reached.
+    """
+    n_max = draw(st.integers(1, 10_000))
+    jumps = sorted(draw(st.lists(st.integers(2, n_max + 1), max_size=12, unique=True)))
+    q = STEP_TARGET.q()
+    level = st.one_of(
+        st.sampled_from([1.0, math.nextafter(q, 0.0), q, math.inf]),
+        st.floats(1.0, 3.0 * q),
+    )
+    count = len(jumps) + 1
+    levels = sorted(draw(st.lists(level, min_size=count, max_size=count)))
+    return n_max, jumps, levels
+
+
+def _step(jumps, levels, n: int) -> float:
+    return levels[bisect.bisect_right(jumps, n)]
+
+
+def _recording_step_curve(jumps, levels):
+    seen = []
+
+    def eval_(n: int) -> float:
+        seen.append(n)
+        return _step(jumps, levels, n)
+
+    return LrSupCurve(eval_), seen
+
+
+def _first_crossing(jumps, levels, n_max):
+    q = STEP_TARGET.q()
+    return next((n for n in range(1, n_max + 1) if _step(jumps, levels, n) >= q), None)
+
+
+def _counted(monkeypatch, module, name):
+    calls = []
+    kernel = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+class TestHintedSearch:
+    @given(curve=step_curves(), random_hint=st.floats(-1e3, 2e4))
+    @example(curve=(10_000, [5000], [1.0, 4.0]), random_hint=1.0)
+    @example(curve=(10_000, [2, 9999], [1.0, 4.0, math.inf]), random_hint=9999.0)
+    @example(curve=(1, [], [1.0]), random_hint=1.0)
+    def test_matches_brute_force_for_any_hint(self, curve, random_hint):
+        n_max, jumps, levels = curve
+        expected = _first_crossing(jumps, levels, n_max)
+        for hint in FIXED_HINTS + (float(n_max), random_hint):
+            rho, seen = _recording_step_curve(jumps, levels)
+            if expected is None:
+                with pytest.raises(NotAttainableError) as info:
+                    min_n_search(rho, STEP_TARGET, n_max=n_max, hint=hint)
+                assert info.value.rho_at_n_max == rho.eval(n_max)
+            else:
+                report = min_n_search(rho, STEP_TARGET, n_max=n_max, hint=hint)
+                assert report.n_exact == expected, hint
+                assert report.diagnostics["monotone_checked"] == 1.0
+            assert all(1 <= n <= n_max for n in seen), hint
+
+    def test_plan_t_evaluation_budget(self, monkeypatch):
+        calls = _counted(monkeypatch, normal_t, "lr_sup_t")
+        target = PfdrTarget(alpha=0.05, pi=0.1)
+        report = normal_t.plan_t(target, normal_t.SnrEffect(0.01))
+        assert report.n_exact == 515
+        assert len(calls) <= 4
+
+    def test_plan_f_evaluation_budget(self, monkeypatch):
+        calls = _counted(monkeypatch, f_test, "lr_sup_f")
+        target = PfdrTarget(alpha=0.05, pi=0.1)
+        report = f_test.plan_f(target, f_test.FEffect(delta=0.3, p=10))
+        assert report.n_exact == 38
+        assert len(calls) <= 6
 
 
 class TestPfdrTarget:
