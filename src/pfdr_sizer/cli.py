@@ -12,11 +12,10 @@ import argparse
 import csv
 import io
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Any, Sequence
-
-import numpy as np
 
 from . import __version__
 from .f_test import FEffect, plan_f
@@ -478,6 +477,8 @@ def _handle_plan_f(p: dict[str, Any], seed: int):
 def _empirical_model(p: dict[str, Any]):
     if p.get("sample-file") is None:
         raise UsageError("family=empirical requires --sample-file")
+    import numpy as np
+
     try:
         sample = np.loadtxt(p["sample-file"]).ravel()
     except OSError as exc:
@@ -648,9 +649,9 @@ def _to_json(obj: Any, indent: int = 0) -> str:
         return "[\n" + inner + "\n" + pad + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, numbers.Integral):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, numbers.Real):
         x = float(obj)
         if not math.isfinite(x):
             # RFC 8259 has no literal for these values, so they travel
@@ -671,9 +672,9 @@ def _flatten(prefix: str, obj: Any, rows: list[tuple[str, str]]) -> None:
             _flatten(f"{prefix}.{i}", value, rows)
     elif isinstance(obj, bool):
         rows.append((prefix, "true" if obj else "false"))
-    elif isinstance(obj, (int, np.integer)):
+    elif isinstance(obj, numbers.Integral):
         rows.append((prefix, str(int(obj))))
-    elif isinstance(obj, (float, np.floating)):
+    elif isinstance(obj, numbers.Real):
         rows.append((prefix, _format_float(float(obj))))
     elif obj is None:
         rows.append((prefix, ""))

@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .numerics import find_root_increasing, log_sum_rows, sum_series
 from .pfdr_core import LrSupCurve, PfdrTarget, PlanReport, min_n_search
@@ -77,6 +78,7 @@ def _f_log_terms(p: int, n: int, log_a: float) -> Callable[[int, int], np.ndarra
     log b_{p,n,k} is the running sum of log1p(n / (p + 2j)) over j < k,
     carried from one chunk to the next.
     """
+    import numpy as np
     from scipy import special
 
     lb = 0.0  # log b_{p,n,k0} at the start of the next chunk

@@ -40,9 +40,10 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .numerics import (
     RootBracketError,
@@ -442,6 +443,8 @@ def _by_chunks(
 ) -> np.ndarray:
     # chunk(k) draws the next k rows of columns raw observations and returns
     # their statistics, last axis over rows; chunks run in row order
+    import numpy as np
+
     step = max(1, _CHUNK_CELLS // columns)
     parts = [chunk(min(step, size - start)) for start in range(0, size, step)]
     return np.concatenate(parts, axis=-1)
@@ -453,11 +456,15 @@ def _row_mean(obs: np.ndarray) -> np.ndarray:
 
 def _pair_scale(obs: np.ndarray) -> np.ndarray:
     # S = sqrt((1/2m) sum over pairs of squared differences)
+    import numpy as np
+
     d = obs[:, 0::2] - obs[:, 1::2]
     return np.sqrt(0.5 * np.mean(d * d, axis=1))
 
 
 def _sample_normal(rng, size, n, m, effect, sigma):
+    import numpy as np
+
     xbar0 = sigma / math.sqrt(n) * rng.standard_normal(size)
     s0 = sigma * np.sqrt(rng.chisquare(m, size) / m)
     return xbar0, s0, xbar0 + effect, s0
@@ -480,6 +487,8 @@ def _sample_gamma(rng, size, n, m, effect, shape, scale):
 
 
 def _sample_normal_score(rng, size, n, m, effect, sigma):
+    import numpy as np
+
     xbar0 = rng.standard_normal(size) / (sigma * math.sqrt(n))
     s0 = np.sqrt(rng.chisquare(m, size) / m) / sigma
     return xbar0, s0, xbar0 + effect / (sigma * sigma), s0
@@ -492,6 +501,8 @@ def _cauchy_score(w: np.ndarray) -> np.ndarray:
 def _score_stats(size, n, m, scores):
     # scores(k, columns) draws k rows of columns observations and returns
     # their null scores and their shifted scores
+    import numpy as np
+
     def part(columns, reduce):
         def chunk(k):
             null, shifted = scores(k, columns)
@@ -517,6 +528,8 @@ def _sample_cauchy_score(rng, size, n, m, effect):
 def _sample_gamma_score(rng, size, n, m, effect):
     # unit-rate exponential data; a location shift of size theta adds an
     # independent Gamma(theta) by shape additivity
+    import numpy as np
+
     _check_cells(size, max(n, 2 * m))
 
     def scores(k, columns):
@@ -864,6 +877,8 @@ def empirical_cgf(
     later evaluation stays finite.  Derivatives are the exact tilted
     moments of the empirical distribution.
     """
+    import numpy as np
+
     x = np.asarray(sample, dtype=float).ravel()
     if x.size < 100:
         raise ValueError(f"need at least 100 observations, got {x.size}")

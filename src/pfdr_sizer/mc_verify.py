@@ -32,11 +32,11 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .ldp_engine import FAMILIES, SCORE_FAMILIES, SHIFT_FAMILIES, CgfModel, legendre
 
@@ -180,6 +180,8 @@ class TailRatioResult:
 
 
 def _rng_for(seed: int, block: int) -> np.random.Generator:
+    import numpy as np
+
     key = np.array([seed, block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -204,6 +206,8 @@ def _run_blocks(fn: Callable[[int], tuple], blocks: Iterable[int]) -> list[tuple
     indices = list(blocks)
     if threads == 1:
         return [fn(b) for b in indices]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         # map preserves submission order, so reductions are deterministic
         return list(pool.map(fn, indices))
@@ -220,6 +224,8 @@ def simulate_pfdr(
     mean of V/R over batches with R > 0, with its standard error across
     batches.
     """
+    import numpy as np
+
     if batch_nulls < 1:
         raise ValueError(f"batch_nulls must be >= 1, got {batch_nulls!r}")
     z = scenario.schedule.z_at(scenario.n + scenario.m)
@@ -272,6 +278,8 @@ def tail_ratio_mc(
     error comes from the delta method with the joint hit count supplying
     the covariance.
     """
+    import numpy as np
+
     if not t_target >= 0.0:
         raise ValueError(f"t_target must be >= 0, got {t_target!r}")
     n_total = scenario.n + scenario.m

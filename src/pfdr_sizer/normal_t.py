@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .numerics import (
     RootBracketError,
@@ -114,6 +115,8 @@ class SnrMixture:
         silently bias the plan, so it is an error.  Weights are renormalized
         to sum to one exactly.
         """
+        import numpy as np
+
         lo, hi = support
         if not 0.0 < lo < hi:
             raise ValueError(f"support must satisfy 0 < lo < hi, got {support!r}")
@@ -217,13 +220,15 @@ def lr_sup_t_mixture(n: int, mixture: SnrMixture) -> float:
     All atoms are summed together, one row each: the gamma ratios a_{n,k}
     do not depend on the atom, so each chunk computes them once.
     """
+    import numpy as np
     from scipy import special
 
     _check_t_args(n, mixture.scale)
     r, w = np.array(mixture.atoms).T
     d = math.sqrt(n + 1.0) * mixture.scale * r
     log_x = (0.5 * math.log(2.0) + np.log(d))[:, None]
-    lg0 = math.lgamma(0.5 * (n + 1))
+    # the same gammaln as the chunks' k = 0 term, so a_{n,0} is exactly 1
+    lg0 = special.gammaln(0.5 * (n + 1.0))
 
     def chunk(k0: int, k1: int) -> np.ndarray:
         k = np.arange(k0, k1, dtype=float)

@@ -22,9 +22,10 @@ match scipy's to the last bit while this module imports no scipy at all.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SeriesDivergenceError",
@@ -156,6 +157,8 @@ def log_sum_rows(chunk: Callable[[int, int], np.ndarray]) -> np.ndarray:
     most 1e-14 times the partial sum.  Chunks double from 64 terms up to
     16384 cells.  Raises SeriesDivergenceError after 10^6 terms.
     """
+    import numpy as np
+
     k0, width = 0, _FIRST_CHUNK
     top, total = -math.inf, 0.0  # become one entry per row at the first chunk
     while True:

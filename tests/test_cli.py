@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pfdr_sizer.cli import _to_json, main, parse_config
+from pfdr_sizer.cli import _flatten, _to_json, main, parse_config
 
 PLAN_F_ARGS = [
     "plan-f", "--alpha", "0.05", "--pi", "0.1", "--delta", "1", "--p", "10000",
@@ -121,6 +121,23 @@ class TestReportShape:
     @given(_REPORTS)
     def test_any_report_round_trips(self, report):
         assert json.loads(_to_json(report)) == _as_parsed(report)
+
+    def test_numpy_scalars_render_as_their_values(self):
+        # numpy integers and floats print like python ones; numpy's bool is
+        # neither a bool nor a number, so it prints as its text
+        report = {
+            "i": np.int64(3), "f": np.float32(0.5), "nan": np.float64("nan"),
+            "inf": np.float64("inf"), "b": np.bool_(True),
+        }
+        assert _to_json(report) == (
+            '{\n  "i": 3,\n  "f": 0.5,\n  "nan": "NaN",\n'
+            '  "inf": "Infinity",\n  "b": "True"\n}'
+        )
+        rows = []
+        _flatten("", report, rows)
+        assert rows == [
+            ("i", "3"), ("f", "0.5"), ("nan", "NaN"), ("inf", "Infinity"), ("b", "True"),
+        ]
 
 
 class TestCommands:
@@ -560,23 +577,37 @@ class TestEntryPoint:
         assert '"n_asymptotic": 15' in proc.stdout
 
 
-# fresh CLI processes that must import no scipy module at all: their kernels
-# need only math and numpy
+# fresh CLI processes that must import no scipy module at all, with whether
+# they load numpy: of these only simulate needs it, the rest run on math alone
 SCIPY_FREE = {
-    "plan-t": (0, ["plan-t", "--alpha", "0.05", "--pi", "0.1", "--snr", "0.01"]),
-    "plan-general-normal": (0, [
+    "plan-t": (0, False, ["plan-t", "--alpha", "0.05", "--pi", "0.1", "--snr", "0.01"]),
+    "plan-t-not-attainable": (1, False, [
+        "plan-t", "--alpha", "0.05", "--pi", "0.1", "--snr", "0.01", "--n-max", "10",
+    ]),
+    "plan-general-normal": (0, False, [
         "plan-general", "--alpha", "0.05", "--pi", "0.1", "--family", "normal",
         "--effect", "0.3", "--rho", "0.4",
     ]),
-    "simulate-normal": (0, [
+    "plan-score-normal-score": (0, False, [
+        "plan-score", "--alpha", "0.05", "--pi", "0.1", "--family", "normal-score",
+        "--effect", "0.5", "--rho", "0.3",
+    ]),
+    "simulate-normal": (0, True, [
         "simulate", "--family", "normal", "--effect", "0", "--pi", "0.5",
         "--n", "5", "--m", "5", "--trials", "40", "--z0", "0.4", "--seed", "7",
     ]),
-    "optimize-split-normal": (0, ["optimize-split", "--family", "normal"]),
-    "ldp-info-uniform": (0, [
+    "optimize-split-normal": (0, False, ["optimize-split", "--family", "normal"]),
+    "ldp-info-uniform": (0, False, [
         "ldp-info", "--family", "uniform", "--width", "2", "--rho", "0.5", "--u", "0.3",
     ]),
-    "usage-error": (2, ["plan-t", "--alpha", "2", "--pi", "0.1", "--snr", "0.1"]),
+    "ldp-info-gamma": (0, False, [
+        "ldp-info", "--family", "gamma", "--shape", "2", "--rho", "0.5", "--u", "0.3",
+    ]),
+    "usage-error": (2, False, ["plan-t", "--alpha", "2", "--pi", "0.1", "--snr", "0.1"]),
+    "usage-error-empirical": (2, False, [
+        "plan-general", "--alpha", "0.05", "--pi", "0.1", "--family", "empirical",
+        "--effect", "0.3", "--rho", "0.4",
+    ]),
 }
 # the other subcommands, which load scipy.special for their kernels
 SCIPY_SPECIAL = {
@@ -595,14 +626,17 @@ SCIPY_SPECIAL = {
 def _cold_imports(argv):
     """Exit code and the packages a fresh CLI process imports.
 
-    Each module listed by -X importtime counts for its top-level package
-    and for its first subpackage: "scipy.special._ufuncs" adds "scipy" and
-    "scipy.special".  A subpackage that scipy loads through importlib, as
-    `from scipy import special` does, is itself missing from that list,
-    but the modules it imports are there.
+    The process runs the console script's entry point, so pfdr_sizer.cli
+    itself is among the imports listed.  Each module listed by -X
+    importtime counts for its top-level package and for its first
+    subpackage: "scipy.special._ufuncs" adds "scipy" and "scipy.special".
+    A subpackage that scipy loads through importlib, as `from scipy import
+    special` does, is itself missing from that list, but the modules it
+    imports are there.
     """
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "pfdr_sizer.cli", *argv],
+        [sys.executable, "-X", "importtime", "-c",
+         "from pfdr_sizer.cli import main_entry; main_entry()", *argv],
         capture_output=True, text=True,
     )
     names = set()
@@ -610,16 +644,18 @@ def _cold_imports(argv):
         if line.startswith("import time:"):
             parts = line.rsplit("|", 1)[1].strip().split(".")
             names.update({parts[0], ".".join(parts[:2])})
+    # an empty or misread list must not pass for a lean one
+    assert "pfdr_sizer.cli" in names
     return proc.returncode, names
 
 
 class TestColdImports:
     @pytest.mark.parametrize("name", sorted(SCIPY_FREE))
     def test_loads_no_scipy(self, name):
-        code, argv = SCIPY_FREE[name]
+        code, numpy, argv = SCIPY_FREE[name]
         got, names = _cold_imports(argv)
         assert got == code
-        assert "numpy" in names
+        assert ("numpy" in names) == numpy
         assert "scipy" not in names
 
     @pytest.mark.parametrize("name", sorted(SCIPY_SPECIAL))
@@ -630,3 +666,14 @@ class TestColdImports:
         assert "scipy.special" in names
         assert "scipy.optimize" not in names
         assert "scipy.integrate" not in names
+
+    def test_importing_the_package_loads_no_numpy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, pfdr_sizer, pfdr_sizer.cli; "
+             "print(sorted(m for m in ('numpy', 'scipy', 'concurrent.futures') "
+             "if m in sys.modules))"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"

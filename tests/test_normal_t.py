@@ -145,6 +145,18 @@ class TestMixture:
         got = lr_sup_t_mixture(1000, mix)
         assert got == pytest.approx(4.0, rel=0.02)
 
+    @pytest.mark.parametrize("n", [1, 7, 1000, 10**7])
+    def test_vanishing_effect_gives_exactly_one(self, n):
+        # at d ~ 1e-300 only the k = 0 term counts, and its gamma ratio
+        # a_{n,0} must cancel to exactly 1 even where lgamma is ~ 1e8
+        mix = SnrMixture(atoms=((1.0, 1.0),), scale=1e-300)
+        assert lr_sup_t_mixture(n, mix) == 1.0
+
+    def test_vanishing_effect_is_not_attainable(self):
+        mix = SnrMixture(atoms=((1.0, 1.0),), scale=1e-300)
+        with pytest.raises(NotAttainableError):
+            plan_t_mixture(PfdrTarget(alpha=0.3, pi=0.7), mix)
+
     def test_from_density_requires_full_mass(self):
         pdf = lambda x: 4.0 * x * math.exp(-2.0 * x)
         with pytest.raises(ValueError):
