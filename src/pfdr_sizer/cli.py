@@ -14,7 +14,7 @@ import io
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Sequence
 
 from . import __version__
@@ -45,6 +45,7 @@ from .mc_verify import (
 from .normal_t import SnrEffect, SnrMixture, plan_t, plan_t_mixture
 from .numerics import RootBracketError, SeriesDivergenceError
 from .pfdr_core import (
+    DEFAULT_N_MAX,
     InvalidRatioError,
     NonMonotoneCurveError,
     NotAttainableError,
@@ -83,6 +84,8 @@ _TARGET = (
     Param("pi", float, required=True, help="prior probability a null is false"),
 )
 
+_N_MAX = Param("n-max", int, default=DEFAULT_N_MAX, help="search budget")
+
 _PARAM_HELP = {"sigma": "standard deviation", "width": "support width"}
 
 
@@ -113,7 +116,7 @@ COMMANDS: dict[str, tuple[Param, ...]] = {
     "plan-t": _TARGET
     + (
         Param("snr", float, required=True, help="signal-to-noise ratio r > 0"),
-        Param("n-max", int, default=10_000_000, help="search budget"),
+        _N_MAX,
     ),
     "plan-t-mixture": _TARGET
     + (
@@ -124,13 +127,13 @@ COMMANDS: dict[str, tuple[Param, ...]] = {
             help="mixture atoms as r:w pairs, e.g. 1:0.5,2:0.5",
         ),
         Param("scale", float, default=1.0, help="common scale on all atoms"),
-        Param("n-max", int, default=10_000_000, help="search budget"),
+        _N_MAX,
     ),
     "plan-f": _TARGET
     + (
         Param("delta", float, required=True, help="noncentrality per observation"),
         Param("p", int, required=True, help="numerator constraint count"),
-        Param("n-max", int, default=10_000_000, help="search budget"),
+        _N_MAX,
     ),
     "plan-general": _TARGET
     + (
@@ -514,12 +517,7 @@ def _handle_plan_score(p: dict[str, Any], seed: int):
 def _handle_optimize_split(p: dict[str, Any], seed: int):
     family = p["family"]
     cgf, tail = make_family(family, **FAMILIES[family].kwargs(p))
-    opt = optimal_split(cgf, tail)
-    outputs = {
-        "rho_star": opt.rho_star,
-        "objective": opt.objective,
-        "boundary": opt.boundary,
-    }
+    outputs = asdict(optimal_split(cgf, tail))
     return outputs, {"family": cgf.family_tag, "lambda_tail": tail.lam}
 
 
@@ -543,30 +541,12 @@ def _handle_simulate(p: dict[str, Any], seed: int):
         "n_total": n_total,
     }
     if p["estimand"] == "pfdr":
-        res = simulate_pfdr(scenario, batch_nulls=p["batch-nulls"])
-        outputs = {
-            "pfdr_hat": res.pfdr_hat,
-            "stderr": res.stderr,
-            "batches": res.batches,
-            "batches_with_rejection": res.batches_with_rejection,
-            "rejections": res.rejections,
-            "false_rejections": res.false_rejections,
-            "reject_rate": res.reject_rate,
-        }
-        return outputs, diagnostics
+        return asdict(simulate_pfdr(scenario, batch_nulls=p["batch-nulls"])), diagnostics
     if p.get("t-target") is None:
         raise UsageError("estimand=tail-ratio requires --t-target")
     res = tail_ratio_mc(scenario, p["t-target"], min_hits=p["min-hits"])
     diagnostics["d_shift"] = p["t-target"] / n_total
-    outputs = {
-        "ratio_hat": res.ratio_hat,
-        "stderr": res.stderr,
-        "hits_num": res.hits_num,
-        "hits_den": res.hits_den,
-        "hits_joint": res.hits_joint,
-        "trials": res.trials,
-    }
-    return outputs, diagnostics
+    return asdict(res), diagnostics
 
 
 def _handle_ldp_info(p: dict[str, Any], seed: int):

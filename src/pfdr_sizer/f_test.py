@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
     import numpy as np
 
-from .numerics import find_root_increasing, log_sum_rows, sum_series
-from .pfdr_core import LrSupCurve, PfdrTarget, PlanReport, min_n_search
+from .numerics import exp_or_inf, find_root_increasing, log_sum_rows
+from .pfdr_core import DEFAULT_N_MAX, LrSupCurve, PfdrTarget, PlanReport, min_n_search
 
 __all__ = [
     "FEffect",
@@ -115,8 +115,7 @@ def lr_sup_f(p: int, n: int, delta: float) -> float:
     overflows, which the curve search tolerates.
     """
     _check_f_args(p, n, delta)
-    log_value = _log_k(p, n, delta)
-    return math.inf if log_value >= 709.78 else math.exp(log_value)
+    return exp_or_inf(_log_k(p, n, delta))
 
 
 def _check_f_args(p: int, n: int, delta: float) -> None:
@@ -134,8 +133,9 @@ def m_p(p: int, t: float) -> float:
     M_p(t) = sum_k Gamma(p/2) (t^2/4)^k / (k! Gamma(k + p/2))
            = 0F1(; p/2; t^2/4);  M_p(0) = 1.
 
-    The closed form comes from scipy (I0 for p = 2, hyp0f1 otherwise); where
-    it returns a value that is not >= 1, the series is summed instead.
+    The closed form comes from scipy: I0 for p = 2, hyp0f1 otherwise.  Its
+    value is clamped to at least 1, which absorbs I0 rounding to 1 - 2 ulp
+    at t below about 3e-8.
     """
     if p < 1:
         raise ValueError(f"p must be a positive integer, got {p!r}")
@@ -147,18 +147,7 @@ def m_p(p: int, t: float) -> float:
     # hyp0f1 at p = 2 and t above about 730, where the true value overflows,
     # returns 0 and prints an ignored ZeroDivisionError; i0 returns inf
     value = float(special.i0(u) if p == 2 else special.hyp0f1(0.5 * p, 0.25 * u * u))
-    if value >= 1.0:
-        return value
-    log_u2_4 = 2.0 * math.log(u) - math.log(4.0)
-    lg_p2 = math.lgamma(0.5 * p)
-
-    def terms() -> Iterator[float]:
-        k = 0
-        while True:
-            yield lg_p2 + k * log_u2_4 - math.lgamma(k + 1) - math.lgamma(k + 0.5 * p)
-            k += 1
-
-    return sum_series(terms())
+    return max(value, 1.0)
 
 
 def quadratic_root_n(p: int, delta: float, a: float) -> float:
@@ -172,7 +161,7 @@ def quadratic_root_n(p: int, delta: float, a: float) -> float:
     return 4.0 * a / (delta * delta) / (1.0 + math.sqrt(1.0 + 8.0 * a / d2p))
 
 
-def plan_f(target: PfdrTarget, effect: FEffect, n_max: int = 10_000_000) -> PlanReport:
+def plan_f(target: PfdrTarget, effect: FEffect, n_max: int = DEFAULT_N_MAX) -> PlanReport:
     """Minimum denominator degrees of freedom n with K(p, n, delta) >= Q.
 
     Runs the exact curve search from the quadratic root and evaluates all

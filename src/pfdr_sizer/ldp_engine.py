@@ -256,6 +256,18 @@ def uniform_family(width: float = 1.0) -> tuple[CgfModel, TailIndex]:
     return cgf, TailIndex(lam=0.0)
 
 
+def _exp_lambda(x: float) -> float:
+    # -ln(1 - x) - x, the cgf of centered unit exponential data, for x < 1.
+    # The direct form loses precision to cancellation as x -> 0, so the
+    # series sum_k x^k / k, k >= 2, summed to k = 17 takes over there.
+    if abs(x) < 0.1:
+        s = 0.0
+        for k in range(17, 1, -1):
+            s = s * x + 1.0 / k
+        return s * x * x
+    return -math.log1p(-x) - x
+
+
 def gamma_family(shape: float, scale: float = 1.0) -> tuple[CgfModel, TailIndex]:
     """Gamma(shape) data scaled by scale and centered at its mean.
 
@@ -276,7 +288,7 @@ def gamma_family(shape: float, scale: float = 1.0) -> tuple[CgfModel, TailIndex]
 
     def lam(t: float) -> float:
         _check_below(t, sup)
-        return -a * math.log1p(-b * t) - a * b * t
+        return a * _exp_lambda(b * t)
 
     def lam1(t: float) -> float:
         _check_below(t, sup)
@@ -661,9 +673,8 @@ def solve_t0(cgf: CgfModel, tail: TailIndex, split: SplitSpec) -> float:
         raise RootRangeError(
             "cgf has no curvature at the origin; the data carry no signal"
         )
-    hint = math.sqrt(rhs / d2_0)
-    if math.isinf(hint):  # rhs / d2_0 overflowed; the roots apart do not
-        hint = math.sqrt(rhs) / math.sqrt(d2_0)
+    # square roots taken apart, so that rhs / d2_0 cannot overflow or underflow
+    hint = math.sqrt(rhs) / math.sqrt(d2_0)
     sup = cgf.domain_sup
     if math.isfinite(sup) and hint >= sup:
         hint = 0.5 * sup

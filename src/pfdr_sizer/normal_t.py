@@ -29,12 +29,12 @@ if TYPE_CHECKING:
 
 from .numerics import (
     RootBracketError,
+    exp_or_inf,
     find_root_increasing,
     log_sum_rows,
     log_sum_series,
-    sum_series,
 )
-from .pfdr_core import LrSupCurve, PfdrTarget, PlanReport, min_n_search
+from .pfdr_core import DEFAULT_N_MAX, LrSupCurve, PfdrTarget, PlanReport, min_n_search
 
 __all__ = [
     "SnrEffect",
@@ -151,15 +151,19 @@ def _log_terms_t(n: int, log_sqrt2_d: float) -> Iterator[float]:
         lg_prev = lg_next
 
 
-def log_lr_sup_t(n: int, r: float) -> float:
-    """log of lr_sup_t, safe when the ratio exceeds float range."""
-    _check_t_args(n, r)
+def _log_l(n: int, r: float) -> float:
     if r == 0.0:
         return 0.0
     d = math.sqrt(n + 1.0) * r
     return -0.5 * d * d + log_sum_series(
         _log_terms_t(n, 0.5 * math.log(2.0) + math.log(d))
     )
+
+
+def log_lr_sup_t(n: int, r: float) -> float:
+    """log of lr_sup_t, safe when the ratio exceeds float range."""
+    _check_t_args(n, r)
+    return _log_l(n, r)
 
 
 def lr_sup_t(n: int, r: float) -> float:
@@ -170,14 +174,7 @@ def lr_sup_t(n: int, r: float) -> float:
     tolerates.
     """
     _check_t_args(n, r)
-    if r == 0.0:
-        return 1.0
-    d = math.sqrt(n + 1.0) * r
-    scaled = sum_series(_log_terms_t(n, 0.5 * math.log(2.0) + math.log(d)))
-    if math.isinf(scaled):
-        log_value = log_lr_sup_t(n, r)
-        return math.inf if log_value >= 709.78 else math.exp(log_value)
-    return math.exp(-0.5 * d * d) * scaled
+    return exp_or_inf(_log_l(n, r))
 
 
 def _check_t_args(n: int, r: float) -> None:
@@ -187,7 +184,7 @@ def _check_t_args(n: int, r: float) -> None:
         raise ValueError(f"signal-to-noise ratio must be >= 0, got {r!r}")
 
 
-def plan_t(target: PfdrTarget, effect: SnrEffect, n_max: int = 10_000_000) -> PlanReport:
+def plan_t(target: PfdrTarget, effect: SnrEffect, n_max: int = DEFAULT_N_MAX) -> PlanReport:
     """Minimum degrees of freedom n with L(n, r) >= Q(alpha, pi).
 
     The per-null sample size is n + 1 observations.  n_asymptotic carries the
@@ -237,8 +234,7 @@ def lr_sup_t_mixture(n: int, mixture: SnrMixture) -> float:
 
     logs = np.log(w) - 0.5 * d * d + log_sum_rows(chunk)
     m = float(logs.max())
-    out = m + math.log(float(np.exp(logs - m).sum()))
-    return math.inf if out >= 709.78 else math.exp(out)
+    return exp_or_inf(m + math.log(float(np.exp(logs - m).sum())))
 
 
 def _mixture_mgf(mixture: SnrMixture, a: float) -> float:
@@ -261,7 +257,7 @@ def _mgf_rate(mixture: SnrMixture, q: float) -> float:
 
 
 def plan_t_mixture(
-    target: PfdrTarget, mixture: SnrMixture, n_max: int = 10_000_000
+    target: PfdrTarget, mixture: SnrMixture, n_max: int = DEFAULT_N_MAX
 ) -> PlanReport:
     """Minimum n for a mixture prior on the signal-to-noise ratio.
 

@@ -1,22 +1,28 @@
 """Shared numeric primitives.
 
-Two safeguarded summators for positive series given by their log terms, and
-a monotone root finder that grows its own bracket and polishes the root with
+One safeguarded summator for positive series given by their log terms, a
+numpy sibling that sums many such series at once, one overflow guard, and a
+monotone root finder that grows its own bracket and polishes the root with
 Brent's method.
 
 The series summators are the workhorse: every likelihood-ratio supremum in
 this package is a Poisson-type series whose terms rise to a single mode and
-then decay, and whose magnitude can exceed float range.  Summation therefore
-runs against a moving scale factor, and truncation is only allowed once the
+then decay, and whose magnitude can exceed float range.  Both return the log
+of the sum, so no sum overflows, and truncation is only allowed once the
 terms are past their mode.  One fixed rule serves every series: the sum
 stops at the first past-mode term at most 1e-14 times the partial sum, and a
 series not stopped after 10^6 terms raises SeriesDivergenceError.
-sum_series and log_sum_series take one series as a Python iterable and add
-it term by term with compensated addition; log_sum_rows sums many series at
-once, a numpy chunk of terms at a time, in the log domain.
+log_sum_series takes one series as a Python iterable and adds it term by
+term with compensated addition against a scale that moves only when a term
+would otherwise overflow; log_sum_rows sums many series at once, a numpy
+chunk of terms at a time.  exp_or_inf turns such a log back into a value,
+inf once it passes float range; sum_series is the two composed.
 
-The Brent polish is a line-for-line port of scipy.optimize.brentq, so roots
-match scipy's to the last bit while this module imports no scipy at all.
+The root finder is scale-free: its first step is the size of the hint and
+the Brent polish stops on a relative tolerance alone, so solving f(x / b)
+from b times the hint gives b times the root for any scale b.  The polish is
+a line-for-line port of scipy.optimize.brentq, so roots match scipy's to
+the last bit at equal tolerances while this module imports no scipy at all.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ __all__ = [
     "SeriesDivergenceError",
     "RootRangeError",
     "RootBracketError",
+    "exp_or_inf",
     "sum_series",
     "log_sum_series",
     "log_sum_rows",
@@ -61,15 +68,15 @@ _REL_TOL = 1e-14
 _MAX_TERMS = 1_000_000
 
 
-def _accumulate(
-    log_terms: Iterable[float], log_domain: bool
-) -> tuple[float, float]:
+def _accumulate(log_terms: Iterable[float]) -> tuple[float, float]:
     """Sum exp(log term) against a moving scale; return (log_scale, scaled_sum).
 
-    The true sum is scaled_sum * exp(log_scale).  Terms must be -inf or finite;
-    the sequence is treated as unimodal for truncation purposes: truncation is
-    considered only after a strict decrease has been seen.  log_domain anchors
-    the scale at the running maximum log term, for sums wanted only as logs.
+    The true sum is scaled_sum * exp(log_scale).  The scale starts at 0 and
+    moves up to a term only when that term passes it by _RESCALE_AT, so a
+    series whose first log term is 0 is summed unscaled until it nears float
+    range.  Terms must be -inf or finite; the sequence is treated as unimodal
+    for truncation purposes: truncation is considered only after a strict
+    decrease has been seen.
     """
     rel_tol, max_terms = _REL_TOL, _MAX_TERMS
     log_scale = 0.0
@@ -92,7 +99,7 @@ def _accumulate(
         if lt == -math.inf:
             term = 0.0
         else:
-            if (log_domain and lt > log_scale) or lt - log_scale > _RESCALE_AT:
+            if lt - log_scale > _RESCALE_AT:
                 factor = math.exp(log_scale - lt)
                 total *= factor
                 comp *= factor
@@ -110,31 +117,29 @@ def _accumulate(
     return log_scale, total + comp
 
 
-def sum_series(log_terms: Iterable[float]) -> float:
-    """Sum a series of positive terms given by their natural logs.
-
-    Truncates once terms are decreasing and the current term is below
-    1e-14 times the partial sum; a generator that ends earlier is summed
-    exactly as a finite series.  May return inf if the sum overflows float
-    range; use log_sum_series when that is expected.
-    """
-    log_scale, total = _accumulate(log_terms, log_domain=False)
-    if log_scale == 0.0:
-        return total
-    if total <= 0.0:
-        return 0.0
-    out = math.log(total) + log_scale
-    if out >= 709.78:
-        return math.inf
-    return total * math.exp(log_scale)
+def exp_or_inf(x: float) -> float:
+    """exp(x), or inf from the point where exp overflows float range."""
+    return math.inf if x >= 709.78 else math.exp(x)
 
 
 def log_sum_series(log_terms: Iterable[float]) -> float:
-    """Natural log of sum_series, computed without leaving float range."""
-    log_scale, total = _accumulate(log_terms, log_domain=True)
+    """Natural log of the sum of positive terms given by their natural logs.
+
+    Truncates once terms are decreasing and the current term is below
+    1e-14 times the partial sum; a generator that ends earlier is summed
+    exactly as a finite series.  Sums beyond float range come back as
+    finite logs, and an empty or all-zero series as -inf.  Terms below
+    exp's range underflow to 0, so a series should start near log term 0.
+    """
+    log_scale, total = _accumulate(log_terms)
     if total <= 0.0:
         return -math.inf
     return math.log(total) + log_scale
+
+
+def sum_series(log_terms: Iterable[float]) -> float:
+    """exp of log_sum_series: the sum itself, inf when it overflows."""
+    return exp_or_inf(log_sum_series(log_terms))
 
 
 # log_sum_rows chunk widths: small first chunks keep short series cheap, and
@@ -198,17 +203,19 @@ def find_root_increasing(
     """Solve f(x) = target for a function increasing on the open interval (lo, hi).
 
     Starting from bracket_hint, the bracket grows geometrically toward the
-    relevant boundary (doubling steps toward an infinite one, halving the
-    remaining gap toward a finite one) until the target is straddled, then
-    the root is polished to machine precision.
+    relevant boundary (steps doubling from |bracket_hint| toward an infinite
+    one, halving the remaining gap toward a finite one) until the target is
+    straddled, then the root is polished to machine precision relative to
+    its size.  No step depends on the unit of x, so the hint must be nonzero.
 
     Raises RootRangeError when the expansion shows the target sits below the
     function's infimum, and RootBracketError when a domain boundary is reached
     without ever crossing the target.
     """
-    if not lo < bracket_hint < hi:
+    if not lo < bracket_hint < hi or bracket_hint == 0.0:
         raise ValueError(
-            f"bracket_hint {bracket_hint!r} not inside the domain ({lo!r}, {hi!r})"
+            f"bracket_hint {bracket_hint!r} must be nonzero and inside the "
+            f"domain ({lo!r}, {hi!r})"
         )
     x = float(bracket_hint)
     y = f(x)
@@ -216,12 +223,22 @@ def find_root_increasing(
         return x
 
     if y < target:
-        a, b = _expand_up(f, target, x, hi)
+        (a, fa), (b, fb) = _walk(f, target, x, y, hi, 1.0)
     else:
-        a, b = _expand_down(f, target, x, lo)
+        (b, fb), (a, fa) = _walk(f, target, x, y, lo, -1.0)
 
-    root = _brentq(lambda t: f(t) - target, a, b, 1e-14, _BRENT_RTOL, 300)
-    resid = abs(f(root) - target)
+    # the polish starts from the walk's last two points and returns a point
+    # it evaluated, so f - target is kept and no point is evaluated twice
+    seen = {a: fa - target, b: fb - target}
+
+    def g(t: float) -> float:
+        v = seen.get(t)
+        if v is None:
+            v = seen[t] = f(t) - target
+        return v
+
+    root = _brentq(g, a, b, math.ulp(0.0), _BRENT_RTOL, 300)
+    resid = abs(seen[root])
     if not resid <= 1e-10 * (1.0 + abs(target)):
         raise RootBracketError(
             f"root residual {resid:.3g} exceeds tolerance near x={root:.17g}; "
@@ -314,64 +331,57 @@ def _brent_eval(f: Callable[[float], float], x: float) -> float:
     return fx
 
 
-def _expand_up(
-    f: Callable[[float], float], target: float, x: float, hi: float
-) -> tuple[float, float]:
-    a = x
-    step = max(abs(x), 1.0)
+def _walk(
+    f: Callable[[float], float],
+    target: float,
+    x: float,
+    y: float,
+    edge: float,
+    sign: float,
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """(x, f(x)) at the last point short of the target and the first past it.
+
+    The walk starts from x, where f is y.  sign is 1 to walk up toward edge
+    while f < target, and -1 to walk down while f > target.  Walking down f
+    is walking up -f(-x), so the loop runs on s = sign * x, where both walks
+    go up.
+    """
+    up = sign > 0.0
+    a, fa, end, goal = sign * x, sign * y, sign * edge, sign * target
+    step = abs(x)
     for k in range(1, _MAX_EXPANSIONS + 1):
-        if math.isinf(hi):
+        if math.isinf(end):
             b = a + step
             step *= 2.0
             if b > _X_HUGE:
                 raise RootRangeError(
-                    f"target {target!r} lies above the range of f "
-                    f"(still below it at x={a:.3g})"
+                    f"target {target!r} lies {'above' if up else 'below'} the "
+                    f"range of f (still {'below' if up else 'above'} it at "
+                    f"x={sign * a:.3g})"
                 )
         else:
-            b = hi - (hi - x) * 0.5**k
+            b = end - (end - sign * x) * 0.5**k
             if b <= a:
-                b = 0.5 * (a + hi)
-            # a step rounded onto hi has reached the boundary: f is not
+                b = 0.5 * (a + end)
+            # a step rounded onto the edge has reached the boundary: f is not
             # defined there
-            if not a < b < hi or k == _MAX_EXPANSIONS:
-                raise RootBracketError(
-                    f"f stayed below target {target!r} approaching the "
-                    f"domain boundary {hi!r}"
-                )
-        if f(b) >= target:
-            return a, b
-        a = b
-    # only reachable walking toward an infinite boundary: the function has
-    # stayed below the target over an astronomically wide range
-    raise RootRangeError(f"target {target!r} lies above the range of f (x={a:.3g})")
-
-
-def _expand_down(
-    f: Callable[[float], float], target: float, x: float, lo: float
-) -> tuple[float, float]:
-    b = x
-    step = max(abs(x), 1.0)
-    for k in range(1, _MAX_EXPANSIONS + 1):
-        if math.isinf(lo):
-            a = b - step
-            step *= 2.0
-            if a < -_X_HUGE:
-                raise RootRangeError(
-                    f"target {target!r} lies below the range of f "
-                    f"(still above it at x={b:.3g})"
-                )
-        else:
-            a = lo + (x - lo) * 0.5**k
-            if a >= b:
-                a = 0.5 * (lo + b)
-            if not lo < a < b or k == _MAX_EXPANSIONS:
+            if not a < b < end or k == _MAX_EXPANSIONS:
+                if up:
+                    raise RootBracketError(
+                        f"f stayed below target {target!r} approaching the "
+                        f"domain boundary {edge!r}"
+                    )
                 # f is decreasing toward its infimum at the boundary and the
                 # target was never reached: it is below the range
-                raise RootRangeError(
-                    f"target {target!r} lies below the range of f on the domain"
-                )
-        if f(a) <= target:
-            return a, b
-        b = a
+                break
+        fb = sign * f(sign * b)
+        if fb >= goal:
+            return (sign * a, sign * fa), (sign * b, sign * fb)
+        a, fa = b, fb
+    # walking up, only reachable toward an infinite boundary: the function
+    # has stayed below the target over an astronomically wide range
+    if up:
+        raise RootRangeError(
+            f"target {target!r} lies above the range of f (x={a:.3g})"
+        )
     raise RootRangeError(f"target {target!r} lies below the range of f on the domain")

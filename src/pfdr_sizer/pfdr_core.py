@@ -52,8 +52,8 @@ class NotAttainableError(RuntimeError):
         self.rho_at_n_max = rho_at_n_max
         self.q_value = q_value
         super().__init__(
-            f"density-ratio supremum reaches only {rho_at_n_max:.6g} at "
-            f"n_max={n_max}, below the required Q={q_value:.6g}"
+            f"density-ratio supremum reaches only {rho_at_n_max!r} at "
+            f"n_max={n_max}, below the required Q={q_value!r}"
         )
 
 

@@ -14,7 +14,6 @@ import sys
 
 import numpy as np
 import pytest
-import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -100,15 +99,15 @@ def test_lr_sup_t_mixture_matches_atom_sum(atoms, seed, scale, n):
 )
 @example(p=2, t=1000.0, factor=1.0)
 @example(p=2, t=700.0, factor=1.5)
+# I0 rounds to 1 - 2 ulp below t of about 2.7e-8, and m_p clamps it to 1
+@example(p=2, t=1e-10, factor=1.0)
+@example(p=2, t=1e-9, factor=10.0)
+@example(p=2, t=2.6e-8, factor=1.15)
+@example(p=2, t=3e-8, factor=1.0)
 def test_m_p_at_least_one_and_nondecreasing(p, t, factor):
     low, high = m_p(p, t), m_p(p, -t * factor)
     assert low >= 1.0
     assert high >= low
-
-
-def test_m_p_falls_back_to_series(monkeypatch):
-    monkeypatch.setattr(scipy.special, "hyp0f1", lambda b, z: 0.0)
-    assert m_p(4, 3.0) == pytest.approx(oracles.m_p_direct(4, 3.0), rel=1e-13)
 
 
 # relative slack of the monotonicity checks, the same round-off allowance

@@ -1,6 +1,7 @@
 import inspect
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -97,6 +98,18 @@ class TestCgfDerivatives:
             below = fn(seam * (1.0 - 1e-12))
             above = fn(seam * (1.0 + 1e-12))
             assert below == pytest.approx(above, rel=1e-9, abs=1e-15)
+
+    @pytest.mark.parametrize("shape", [0.3, 2.0])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_gamma_cgf_against_mpmath(self, shape, sign):
+        # Lambda(t) = shape (-ln(1 - x) - x) at x = scale t cancels as
+        # x -> 0, where a series takes over; 50 digits settle the value
+        cgf, _ = make_family("gamma", shape=shape, scale=1.0)
+        for x in sign * np.logspace(-20.0, math.log10(0.5), 200):
+            with mpmath.workdps(50):
+                exact = float(shape * (-mpmath.log1p(-mpmath.mpf(x)) - x))
+            got = cgf.lambda_fn(float(x))
+            assert got == pytest.approx(exact, rel=4e-15, abs=0.0)
 
     def test_gamma_domain_boundary(self):
         cgf, _ = make_family("gamma", shape=1.0, scale=2.0)
@@ -237,6 +250,41 @@ class TestSolveT0:
                 for r in [0.1, 0.3, 0.5, 0.7, 0.9]
             ]
             assert all(a < b for a, b in zip(vals, vals[1:]))
+
+
+# data scales b from 1e-150 to 1e150; each family's scale parameter is b
+SCALES = [10.0**e for e in (-150, -100, -30, -10, -3, 3, 10, 30, 100, 150)]
+
+
+def _at_scale(name, b):
+    if name == "gamma":
+        return make_family("gamma", shape=2.0, scale=b)
+    return make_family(name, **{{"normal": "sigma", "uniform": "width"}[name]: b})
+
+
+@pytest.mark.parametrize("b", SCALES)
+@pytest.mark.parametrize("rho", [0.05, 0.5, 0.95])
+@pytest.mark.parametrize("name", ["normal", "uniform", "gamma"])
+class TestScaleEquivariance:
+    """Lambda_b(t) = Lambda_1(b t), so roots are the unit-scale roots over b."""
+
+    def test_solve_t0(self, name, rho, b):
+        split = SplitSpec(rho=rho)
+        unit = solve_t0(*_at_scale(name, 1.0), split)
+        got = b * solve_t0(*_at_scale(name, b), split)
+        assert got == pytest.approx(unit, rel=1e-14, abs=0.0)
+
+    def test_legendre(self, name, rho, b):
+        # at the slopes Lambda_1'(+-t0): one on each side of the origin
+        unit_cgf, tail = _at_scale(name, 1.0)
+        cgf, _ = _at_scale(name, b)
+        t0 = solve_t0(unit_cgf, tail, SplitSpec(rho=rho))
+        for t in (t0, -t0):
+            u = unit_cgf.lambda_d1(t)
+            unit_rate, unit_eta = legendre(unit_cgf, u)
+            rate, eta = legendre(cgf, b * u)
+            assert rate == pytest.approx(unit_rate, rel=1e-14, abs=0.0)
+            assert b * eta == pytest.approx(unit_eta, rel=1e-14, abs=0.0)
 
 
 class TestOptimalSplit:

@@ -157,6 +157,15 @@ class TestMixture:
         with pytest.raises(NotAttainableError):
             plan_t_mixture(PfdrTarget(alpha=0.3, pi=0.7), mix)
 
+    def test_not_attainable_message_prints_q_in_full(self):
+        # Q is one ulp above 1 here; six significant digits printed "Q=1"
+        mix = SnrMixture(atoms=((1.0, 1.0),), scale=1e-300)
+        with pytest.raises(NotAttainableError) as info:
+            plan_t_mixture(PfdrTarget(alpha=0.3, pi=0.7), mix)
+        assert info.value.q_value == 1.0000000000000002
+        assert "reaches only 1.0 at n_max=10000000," in str(info.value)
+        assert str(info.value).endswith("the required Q=1.0000000000000002")
+
     def test_from_density_requires_full_mass(self):
         pdf = lambda x: 4.0 * x * math.exp(-2.0 * x)
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from pfdr_sizer.numerics import (
     RootBracketError,
     RootRangeError,
     SeriesDivergenceError,
+    exp_or_inf,
     find_root_increasing,
     log_sum_rows,
     log_sum_series,
@@ -160,6 +161,13 @@ class TestSumSeries:
         assert sum_series(iter([])) == 0.0
         assert sum_series(iter([-math.inf, -math.inf])) == 0.0
 
+    def test_exp_or_inf_cutoff(self):
+        # the cutoff sits just below ln(DBL_MAX) = 709.7827, where exp is
+        # still finite
+        assert exp_or_inf(709.7) == math.exp(709.7)
+        assert exp_or_inf(709.78) == math.inf
+        assert exp_or_inf(-math.inf) == 0.0
+
     def test_divergence_detected(self, monkeypatch):
         def flat():
             while True:
@@ -278,6 +286,30 @@ class TestFindRootIncreasing:
             find_root_increasing(math.exp, 2.0, math.nan)
         with pytest.raises(ValueError):
             find_root_increasing(math.exp, 2.0, 5.0, lo=1.0, hi=2.0)
+        # a zero hint gives the walk no scale to step by
+        with pytest.raises(ValueError, match="nonzero"):
+            find_root_increasing(math.exp, 2.0, 0.0, lo=-math.inf)
+
+    @pytest.mark.parametrize("s", [1e-150, 1.0, 1e150])
+    @pytest.mark.parametrize(
+        "f,target,hint,lo,hi,root",
+        [
+            # up toward an infinite boundary, down toward a finite one
+            (lambda x: x**3, 8.0, 0.01, 0.0, math.inf, 2.0),
+            (lambda x: x**3, 8.0, 100.0, 0.0, math.inf, 2.0),
+            # down toward an infinite boundary
+            (lambda x: x, -5.0, 1.0, -math.inf, math.inf, -5.0),
+            # up toward a finite boundary
+            (lambda x: x / (1.0 - x), 1e3, 0.5, 0.0, 1.0, 1e3 / 1001.0),
+        ],
+    )
+    def test_roots_in_any_unit(self, s, f, target, hint, lo, hi, root):
+        # the same problem with x measured in units of 1 / s: the walk and
+        # the polish take no absolute step, so the root scales with s
+        got = find_root_increasing(
+            lambda x: f(x / s), target, hint * s, lo=lo * s, hi=hi * s
+        )
+        assert got == pytest.approx(root * s, rel=4e-15, abs=0.0)
 
     @pytest.mark.parametrize(
         "target,lo,hi,error",
@@ -332,23 +364,30 @@ class TestBrentq:
         scale=_log_uniform(1e-300, 1e300),
         below=_log_uniform(1e-9, 1e3),
         above=_log_uniform(1e-9, 1e3),
-        xtol=st.sampled_from([1e-14, 2e-12, 1e-6]),
+        xtol=st.sampled_from([math.ulp(0.0), 1e-14, 2e-12, 1e-6]),
         rtol=st.sampled_from([_BRENT_RTOL, 1e-10]),
     )
     # function values near 1e-300 underflow in the step formulas
     @example("sinh", 2275.8512759919117, 0.58116, 7.08e-178, 7.06, 371.7, 1e-14, _BRENT_RTOL)
     @example("stairs", 0.3, 2.0, 1.0, 10.0, 10.0, 1e-14, _BRENT_RTOL)
+    @example("stairs", 0.0, 1.0, 1.0, 1.0, 1.0, math.ulp(0.0), _BRENT_RTOL)
     def test_bit_identical_to_scipy(
         self, shape, root, k, scale, below, above, xtol, rtol
     ):
         f = lambda x: scale * _SHAPES[shape](x - root, k)
         a, b = root - below, root + above
         ours, theirs = [], []
-        got = _brentq(_recorded(f, ours), a, b, xtol, rtol, 300)
-        expected = optimize.brentq(
-            _recorded(f, theirs), a, b, xtol=xtol, rtol=rtol, maxiter=300
-        )
-        assert got == expected
+        try:
+            expected = optimize.brentq(
+                _recorded(f, theirs), a, b, xtol=xtol, rtol=rtol, maxiter=300
+            )
+        except RuntimeError:
+            # a root at 0 with no absolute tolerance is approached by
+            # relative steps only: both run out of iterations
+            with pytest.raises(RootBracketError, match="did not converge"):
+                _brentq(_recorded(f, ours), a, b, xtol, rtol, 300)
+        else:
+            assert _brentq(_recorded(f, ours), a, b, xtol, rtol, 300) == expected
         assert ours == theirs
 
     def test_zero_at_an_end_returns_that_end(self):
