@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Callable
 if TYPE_CHECKING:
     import numpy as np
 
-from .numerics import exp_or_inf, find_root_increasing, log_sum_rows
+from .numerics import _MAX_CHUNK_CELLS, exp_or_inf, find_root_increasing, log_sum_rows
 from .pfdr_core import DEFAULT_N_MAX, LrSupCurve, PfdrTarget, PlanReport, min_n_search
 
 __all__ = [
@@ -72,33 +72,40 @@ class FEffect:
             raise ValueError(f"p must be a positive integer, got {self.p!r}")
 
 
-def _f_log_terms(p: int, n: int, log_a: float) -> Callable[[int, int], np.ndarray]:
-    """Chunks of log(b_{p,n,k} A^k / k!) for log_sum_rows, as one row.
-
-    log b_{p,n,k} is the running sum of log1p(n / (p + 2j)) over j < k,
-    carried from one chunk to the next.
-    """
-    import numpy as np
-    from scipy import special
-
-    lb = 0.0  # log b_{p,n,k0} at the start of the next chunk
-
-    def chunk(k0: int, k1: int) -> np.ndarray:
-        nonlocal lb
-        k = np.arange(k0, k1, dtype=float)
-        step = np.log1p(n / (p + 2.0 * k))
-        lbs = np.cumsum(np.concatenate(([lb], step[:-1])))
-        lb = lbs[-1] + step[-1]
-        return (lbs + k * log_a - special.gammaln(k + 1.0))[None, :]
-
-    return chunk
+def _f_mode(p: int, n: int, a: float) -> float:
+    """Mode of b_{p,n,k} A^k / k!: the root of A (n + p + 2k) = (k + 1)(p + 2k), or 0."""
+    b = p + 2.0 - 2.0 * a
+    c = p - a * (n + p)
+    root = math.sqrt(b * b - 8.0 * c)
+    return max(0.0, (root - b) / 4.0 if b <= 0.0 else -2.0 * c / (b + root))
 
 
 def _log_k(p: int, n: int, delta: float) -> float:
+    """log K, summed by log_sum_rows as one row over a window around _f_mode.
+
+    log b_{p,n,k0} is a pairwise sum of log1p(n / (p + 2j)) over j < k0, by
+    blocks, carried through each chunk as a running sum.
+    """
     a = 0.5 * (n + p) * delta * delta
     if a == 0.0:  # delta = 0, or A underflowed: K = 1
         return 0.0
-    return -a + float(log_sum_rows(_f_log_terms(p, n, math.log(a)))[0])
+    import numpy as np
+    from scipy import special
+
+    log_a, block = math.log(a), _MAX_CHUNK_CELLS
+
+    def chunk(k0: int, k1: int) -> np.ndarray:
+        lb = math.fsum(
+            float(np.log1p(n / (p + 2.0 * np.arange(j, min(j + block, k0)))).sum())
+            for j in range(0, k0, block)
+        )
+        k = np.arange(k0, k1, dtype=float)
+        step = np.log1p(n / (p + 2.0 * k))
+        lbs = np.cumsum(np.concatenate(([lb], step[:-1])))
+        return (lbs + k * log_a - special.gammaln(k + 1.0))[None, :]
+
+    mode = _f_mode(p, n, a)
+    return -a + float(log_sum_rows(chunk, mode, mode)[0])
 
 
 def log_lr_sup_f(p: int, n: int, delta: float) -> float:
@@ -180,12 +187,8 @@ def plan_f(target: PfdrTarget, effect: FEffect, n_max: int = DEFAULT_N_MAX) -> P
     if a <= 0.0:
         n_mgf = n_quad = n_logpow = 1.0
     else:
-        t_star = find_root_increasing(
-            lambda t: m_p(p, t),
-            q,
-            bracket_hint=max(1.0, min(a + 1.0, math.sqrt(2.0 * p * a))),
-            lo=0.0,
-        )
+        hint = max(1.0, min(a + 1.0, math.sqrt(2.0 * p * a)))
+        t_star = find_root_increasing(lambda t: math.log(m_p(p, t)), a, hint)
         n_mgf = max(1.0, t_star / delta)
         n_quad = max(1.0, n_quad)
         n_logpow = max(1.0, math.ceil(2.0 * a / math.log1p(delta * delta)))

@@ -215,7 +215,8 @@ def lr_sup_t_mixture(n: int, mixture: SnrMixture) -> float:
     """Weighted average of lr_sup_t over the mixture atoms.
 
     All atoms are summed together, one row each: the gamma ratios a_{n,k}
-    do not depend on the atom, so each chunk computes them once.
+    do not depend on the atom, so each chunk computes them once.  The row of
+    atom d peaks near k = (d^2 + sqrt(d^4 + 4 d^2 n)) / 2 - 1.
     """
     import numpy as np
     from scipy import special
@@ -232,28 +233,34 @@ def lr_sup_t_mixture(n: int, mixture: SnrMixture) -> float:
         shared = special.gammaln(0.5 * (n + k + 1.0)) - lg0 - special.gammaln(k + 1.0)
         return shared + k * log_x
 
-    logs = np.log(w) - 0.5 * d * d + log_sum_rows(chunk)
+    def mode(atom: tuple[float, float]) -> float:
+        d = math.sqrt(n + 1.0) * mixture.scale * atom[0]
+        d2 = d * d
+        return 0.5 * (d2 + math.sqrt(d2 * d2 + 4.0 * d2 * n)) - 1.0
+
+    atoms = mixture.atoms
+    sums = log_sum_rows(chunk, mode(min(atoms)), mode(max(atoms)), len(atoms))
+    logs = np.log(w) - 0.5 * d * d + sums
     m = float(logs.max())
     return exp_or_inf(m + math.log(float(np.exp(logs - m).sum())))
 
 
-def _mixture_mgf(mixture: SnrMixture, a: float) -> float:
-    # exponent capped below the overflow point; the cap preserves ordering
-    # well past any threshold a planner can ask for
-    return sum(w * math.exp(min(a * r, 709.0)) for r, w in mixture.atoms)
-
-
 def _mgf_rate(mixture: SnrMixture, q: float) -> float:
-    """Root a* of E[exp(a R)] = Q; 0 when Q <= 1."""
+    """Root a* of log E[exp(a R)] = ln Q; 0 when Q <= 1.
+
+    The log-sum-exp runs in Python: over the few atoms of a typical prior
+    it costs less than numpy's per-call overhead.
+    """
     if q <= 1.0:
         return 0.0
-    mean_r = sum(w * r for r, w in mixture.atoms)
-    return find_root_increasing(
-        lambda a: _mixture_mgf(mixture, a),
-        q,
-        bracket_hint=math.log(q) / mean_r,
-        lo=0.0,
-    )
+    atoms = mixture.atoms
+    r_top = max(atoms)[0]
+
+    def log_mgf(a: float) -> float:
+        return a * r_top + math.log(sum(w * math.exp(a * (r - r_top)) for r, w in atoms))
+
+    log_q = math.log(q)
+    return find_root_increasing(log_mgf, log_q, log_q / sum(w * r for r, w in atoms))
 
 
 def plan_t_mixture(

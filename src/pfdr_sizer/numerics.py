@@ -8,15 +8,13 @@ Brent's method.
 The series summators are the workhorse: every likelihood-ratio supremum in
 this package is a Poisson-type series whose terms rise to a single mode and
 then decay, and whose magnitude can exceed float range.  Both return the log
-of the sum, so no sum overflows, and truncation is only allowed once the
-terms are past their mode.  One fixed rule serves every series: the sum
-stops at the first past-mode term at most 1e-14 times the partial sum, and a
-series not stopped after 10^6 terms raises SeriesDivergenceError.
-log_sum_series takes one series as a Python iterable and adds it term by
-term with compensated addition against a scale that moves only when a term
-would otherwise overflow; log_sum_rows sums many series at once, a numpy
-chunk of terms at a time.  exp_or_inf turns such a log back into a value,
-inf once it passes float range; sum_series is the two composed.
+of the sum, so no sum overflows, and both raise SeriesDivergenceError rather
+than pass term 10^6.  log_sum_series adds one series from k = 0 term by term
+with compensated addition against a scale that moves only when a term would
+otherwise overflow; log_sum_rows sums many log-concave series over one numpy
+window around their modes, so its cost grows with the mode's square root.
+exp_or_inf turns such a log back into a value, inf once it passes float
+range; sum_series is the two composed.
 
 The root finder is scale-free: its first step is the size of the hint and
 the Brent polish stops on a relative tolerance alone, so solving f(x / b)
@@ -61,8 +59,8 @@ class RootBracketError(RuntimeError):
     """Bracket expansion reached the domain boundary without a sign change."""
 
 
-# series truncation: a past-mode term at most _REL_TOL times the partial sum
-# ends the sum, and a series still running after _MAX_TERMS terms raises
+# series truncation: the sums stop at _REL_TOL relative to the partial sum,
+# and a series that needs a term past index _MAX_TERMS raises
 # SeriesDivergenceError; both are read at call time
 _REL_TOL = 1e-14
 _MAX_TERMS = 1_000_000
@@ -142,48 +140,60 @@ def sum_series(log_terms: Iterable[float]) -> float:
     return exp_or_inf(log_sum_series(log_terms))
 
 
-# log_sum_rows chunk widths: small first chunks keep short series cheap, and
-# the cap on cells per chunk bounds memory whatever the term budget is
-_FIRST_CHUNK = 64
+# log_sum_rows computes its window in blocks of at most this many cells
+# (rows x terms), so memory stays bounded whatever the window's width
 _MAX_CHUNK_CELLS = 16384
 
 
-def log_sum_rows(chunk: Callable[[int, int], np.ndarray]) -> np.ndarray:
-    """Natural logs of the sums of several positive series, one per row.
+def log_sum_rows(
+    chunk: Callable[[int, int], np.ndarray], mode_lo: float, mode_hi: float, rows: int = 1
+) -> np.ndarray:
+    """Natural logs of the sums of several log-concave positive series, one per row.
 
     chunk(k0, k1) returns the finite log terms k0 <= k < k1 of every series
-    as an array of shape (rows, k1 - k0); it is called with consecutive
-    ranges starting at 0.  Each row is summed against its running maximum
-    log term, so sums beyond float range come back as finite logs.
-
-    The truncation rule is the one sum_series applies, checked at chunk
-    ends: summation stops once, in every row, the terms are past their mode
-    (the last term is below the chunk's largest) and the last term is at
-    most 1e-14 times the partial sum.  Chunks double from 64 terms up to
-    16384 cells.  Raises SeriesDivergenceError after 10^6 terms.
+    as an array of shape (rows, k1 - k0), for any range.  A pass sums the
+    window [mode_lo - h, mode_hi + h], clipped at 0, in blocks of at most
+    16384 cells and at least two terms, each row against its largest term.
+    h = 8 + ceil(9 sqrt(2 mode_hi + 2)) is nine standard deviations where
+    log terms curve by 1 / (2 (k + 1)), as the t series' do once k >> n.
+    The terms cut beyond an edge term e whose log ratio to its inner
+    neighbour is d < 0 sum to at most e e^d / (1 - e^d); unless that is at
+    most 1e-14 of the sum at each cut edge of every row, h doubles.  A
+    window reaching past term 10^6 raises SeriesDivergenceError unsummed.
     """
     import numpy as np
 
-    k0, width = 0, _FIRST_CHUNK
-    top, total = -math.inf, 0.0  # become one entry per row at the first chunk
-    while True:
-        k1 = min(k0 + width, _MAX_TERMS)
-        lt = chunk(k0, k1)
-        chunk_top = lt.max(axis=1)
-        new_top = np.maximum(top, chunk_top)
-        total = total * np.exp(top - new_top) + np.exp(lt - new_top[:, None]).sum(axis=1)
-        top = new_top
-        last = lt[:, -1]
-        done = (last < chunk_top) & (np.exp(last - top) <= _REL_TOL * total)
+    hi = max(0, math.ceil(mode_hi)) if mode_hi < _MAX_TERMS else _MAX_TERMS
+    h = 8 + math.ceil(9.0 * math.sqrt(2.0 * hi + 2.0))
+    while hi + h < _MAX_TERMS:
+        k0 = max(0, math.floor(mode_lo) - h)
+        width = hi + h + 1 - k0
+        # equal blocks under the cell cap, each at least two terms wide
+        blocks = min(width // 2, -(-width * rows // _MAX_CHUNK_CELLS))
+        lt = head = chunk(k0, k0 + width // blocks)
+        top = lt.max(axis=1)
+        total = np.exp(lt - top[:, None]).sum(axis=1)
+        for i in range(1, blocks):
+            lt = chunk(k0 + width * i // blocks, k0 + width * (i + 1) // blocks)
+            new_top = np.maximum(top, lt.max(axis=1))
+            total = total * np.exp(top - new_top) + np.exp(lt - new_top[:, None]).sum(axis=1)
+            top = new_top
+        # the bound test as e <= 1e-14 sum (e^-d - 1): where an edge still
+        # rises (d >= 0), a log-concave row peaks there, so e = 1 fails it
+        bound = _REL_TOL * total
+        edge = lt[:, -1]
+        done = np.exp(edge - top) <= bound * np.expm1(lt[:, -2] - edge)
+        if k0 > 0:
+            edge = head[:, 0]
+            done &= np.exp(edge - top) <= bound * np.expm1(head[:, 1] - edge)
         if done.all():
             return top + np.log(total)
-        if k1 == _MAX_TERMS:
-            raise SeriesDivergenceError(
-                f"no truncation after {_MAX_TERMS} terms "
-                f"(last log term {last[~done].max():.6g}, rel_tol {_REL_TOL:g})"
-            )
-        k0 = k1
-        width = min(2 * width, max(_FIRST_CHUNK, _MAX_CHUNK_CELLS // len(lt)))
+        h *= 2
+    last = chunk(_MAX_TERMS - 1, _MAX_TERMS)
+    raise SeriesDivergenceError(
+        f"no truncation after {_MAX_TERMS} terms "
+        f"(last log term {last.max():.6g}, rel_tol {_REL_TOL:g})"
+    )
 
 
 # brentq's minimum relative step; roots are wanted at machine precision

@@ -6,8 +6,10 @@ not tautology.  The heavy oracles are the finite-argument density ratios:
 the package computes suprema by closed series, these compute the underlying
 ratio on a grid and locate the supremum by brute force.  The two series
 oracles are the exception: they sum the package's own series one Python
-term at a time with log_sum_series, so they check the numpy summation and
-its vectorised term recurrences rather than the series formulas.
+term at a time with log_sum_series, from k = 0, so they check the numpy
+summation, its window and its vectorised term recurrences rather than the
+series formulas.  log_lr_sup_f_hyp1f1 checks the F formula itself, in
+mpmath.
 """
 
 from __future__ import annotations
@@ -116,6 +118,22 @@ def log_lr_sup_f_series(p: int, n: int, delta: float) -> float:
             k += 1
 
     return -a + log_sum_series(log_terms())
+
+
+def log_lr_sup_f_hyp1f1(p: int, n: int, delta: float) -> float:
+    """log K(p, n, delta) from Kummer's function at 50 digits.
+
+    The series is e^-A 1F1((n + p) / 2; p / 2; A), since b_{p,n,k} is the
+    ratio of rising factorials ((n + p) / 2)_k / (p / 2)_k; mpmath sums it
+    in extended precision, so this oracle shares no rounding with the
+    package.
+    """
+    import mpmath
+
+    with mpmath.workdps(50):
+        a = mpmath.mpf(n + p) * mpmath.mpf(delta) ** 2 / 2
+        k = mpmath.hyp1f1(mpmath.mpf(n + p) / 2, mpmath.mpf(p) / 2, a, maxterms=10**7)
+        return float(mpmath.log(k) - a)
 
 
 def lr_sup_t_mixture_by_atom(n: int, atoms, scale: float) -> float:

@@ -28,7 +28,7 @@ from pfdr_sizer.normal_t import (
     plan_t,
     plan_t_mixture,
 )
-from pfdr_sizer.pfdr_core import PfdrTarget
+from pfdr_sizer.pfdr_core import NotAttainableError, PfdrTarget
 
 EPS = sys.float_info.epsilon
 
@@ -61,6 +61,30 @@ def test_log_lr_sup_f_matches_series(p, n, delta):
     a = 0.5 * (n + p) * delta * delta
     tol = 1e-11 * max(1.0, abs(expected)) + EPS * a * math.log(max(a, math.e))
     assert abs(got - expected) <= tol
+
+
+# p up to 1e5 and delta up to 2, with A from 0.01 to 2e5; where A passes
+# about 100 the window no longer starts at k = 0
+F_ORACLE_POINTS = [
+    (p, n, delta)
+    for p in (1, 3, 40, 500, 10_000, 100_000)
+    for n, delta in ((1, 2.0), (7, 0.05), (60, 0.6), (2000, 0.1), (300, 1.5))
+]
+
+
+@pytest.mark.parametrize("p,n,delta", F_ORACLE_POINTS)
+def test_log_lr_sup_f_against_hypergeometric(p, n, delta):
+    expected = oracles.log_lr_sup_f_hyp1f1(p, n, delta)
+    got = log_lr_sup_f(p, n, delta)
+    from_zero = oracles.log_lr_sup_f_series(p, n, delta)
+    # a log term near A ln A rounds by about eps A ln A, in the window and
+    # from k = 0 alike; past that and a few ulp of log K, the window is no
+    # worse than the full sum
+    a = 0.5 * (n + p) * delta * delta
+    scale = max(1.0, abs(expected))
+    floor = EPS * (a * math.log(max(a, math.e)) + 8.0 * scale)
+    assert abs(got - expected) <= 1e-11 * scale + floor
+    assert abs(got - expected) <= abs(from_zero - expected) + floor
 
 
 def _random_atoms(atoms: int, seed: int) -> tuple[tuple[float, float], ...]:
@@ -121,6 +145,11 @@ SLACK = 1e-12
     step=st.integers(1, 1000),
     delta=log_uniform(1e-3, 2.0),
 )
+# from n to n + 1 the window's first term leaves k = 0
+@example(p=1, n=314, step=1, delta=0.5)
+@example(p=3, n=65, step=1, delta=1.5)
+@example(p=10, n=583, step=1, delta=0.3)
+@example(p=300, n=64, step=1, delta=0.7)
 def test_lr_sup_f_nondecreasing_in_n(p, n, step, delta):
     low, high = lr_sup_f(p, n, delta), lr_sup_f(p, n + step, delta)
     assert high >= low * (1.0 - SLACK)
@@ -144,6 +173,23 @@ def test_lr_sup_f_nondecreasing_in_delta(p, n, delta, factor):
 )
 def test_lr_sup_t_nondecreasing_in_n(n, step, r):
     low, high = lr_sup_t(n, r), lr_sup_t(n + step, r)
+    assert high >= low * (1.0 - SLACK)
+
+
+@settings(max_examples=20)
+@given(
+    atoms=st.integers(1, 16),
+    seed=st.integers(0, 2**32 - 1),
+    scale=log_uniform(1e-2, 1.0),
+    n=log_uniform_int(1, 2000),
+    step=st.integers(1, 1000),
+)
+# from n to n + 1 the window's first term leaves k = 0
+@example(atoms=1, seed=0, scale=1.0, n=131, step=1)
+@example(atoms=3, seed=1, scale=0.3, n=1183, step=1)
+def test_lr_sup_t_mixture_nondecreasing_in_n(atoms, seed, scale, n, step):
+    mixture = SnrMixture(atoms=_random_atoms(atoms, seed), scale=scale)
+    low, high = lr_sup_t_mixture(n, mixture), lr_sup_t_mixture(n + step, mixture)
     assert high >= low * (1.0 - SLACK)
 
 
@@ -204,3 +250,70 @@ def test_n_exact_is_minimal(kind, alpha, pi, effect, p, atoms, seed):
     assert q <= rho(n)
     if n > 1:
         assert rho(n - 1) < q
+
+
+# Plans pinned while the F and mixture series were still summed from k = 0:
+# (kind, alpha, pi, effect, p or (atoms, seed), n_max, status, n_exact,
+# regime), where effect is delta for F and the scale for mixtures, and an
+# n_max of None leaves the default
+GOLDEN_PLANS = [
+    ("f", 0.05, 0.1, 1.0, 10000, None, "ok", 15, "f-log-power"),
+    ("f", 0.01, 0.01, 0.1, 10000, None, "ok", 1596, "f-log-power"),
+    ("f", 0.05, 0.1, 0.02, 10000, None, "ok", 11803, "f-quadratic-root"),
+    ("f", 0.1, 0.3, 0.5, 10000, None, "ok", 28, "f-log-power"),
+    ("f", 0.05, 0.1, 0.01, 2, None, "ok", 702, "f-mgf-inversion"),
+    ("f", 0.01, 0.1, 0.3, 1, None, "ok", 27, "f-quadratic-root"),
+    ("f", 0.001, 0.01, 0.5, 1, None, "ok", 27, "f-quadratic-root"),
+    ("f", 0.05, 0.1, 0.7, 300, None, "ok", 25, "f-log-power"),
+    ("f", 0.01, 0.01, 0.2, 300, None, "ok", 262, "f-log-power"),
+    ("f", 0.05, 0.3, 0.3, 10, None, "ok", 31, "f-quadratic-root"),
+    ("f", 0.001, 0.001, 0.05, 40, None, "ok", 742, "f-mgf-inversion"),
+    ("f", 0.1, 0.1, 1.5, 3, None, "ok", 6, "f-quadratic-root"),
+    ("f", 0.05, 0.1, 0.05, 100000, None, "ok", 3962, "f-quadratic-root"),
+    ("f", 0.01, 0.1, 2.0, 100000, None, "ok", 9, "f-log-power"),
+    ("f", 0.05, 0.1, 0.015, 5021, 9, "NotAttainableError", None, None),
+    ("f", 0.05, 0.1, 0.3, 1000, 3, "NotAttainableError", None, None),
+    ("f", 0.3, 0.5, 0.01, 7, None, "ok", 357, "f-mgf-inversion"),
+    ("f", 0.01, 0.01, 0.03, 1, None, "ok", 332, "f-mgf-inversion"),
+    ("f", 0.05, 0.01, 0.15, 2000, None, "ok", 538, "f-log-power"),
+    ("f", 0.001, 0.1, 1.0, 50, None, "ok", 22, "f-log-power"),
+    ("mixture", 0.05, 0.1, 1.0, (1, 0), None, "ok", 10, "t-mixture-mgf"),
+    ("mixture", 0.05, 0.1, 0.1, (1, 3), None, "ok", 102, "t-mixture-mgf"),
+    ("mixture", 0.01, 0.01, 0.05, (4, 1), None, "ok", 150, "t-mixture-mgf"),
+    ("mixture", 0.05, 0.1, 0.5, (4, 2), None, "ok", 11, "t-mixture-mgf"),
+    ("mixture", 0.1, 0.3, 0.02, (16, 5), None, "ok", 123, "t-mixture-mgf"),
+    ("mixture", 0.001, 0.01, 0.2, (16, 6), None, "ok", 42, "t-mixture-mgf"),
+    ("mixture", 0.05, 0.1, 0.01, (128, 7), None, "ok", 349, "t-mixture-mgf"),
+    ("mixture", 0.01, 0.1, 0.3, (128, 8), None, "ok", 16, "t-mixture-mgf"),
+    ("mixture", 0.05, 0.1, 2.0, (128, 9), None, "ok", 3, "t-mixture-mgf"),
+    ("mixture", 0.001, 0.001, 0.005, (128, 10), None, "ok", 1642, "t-mixture-mgf"),
+    ("mixture", 0.05, 0.1, 0.1, (512, 11), None, "ok", 38, "t-mixture-mgf"),
+    ("mixture", 0.3, 0.5, 0.01, (2, 12), None, "ok", 209, "t-mixture-mgf"),
+    ("mixture", 0.05, 0.1, 0.003, (8, 13), 5, "NotAttainableError", None, None),
+    ("mixture", 0.01, 0.01, 1.5, (3, 14), None, "ok", 6, "t-mixture-mgf"),
+    ("mixture", 0.05, 0.3, 0.05, (64, 15), None, "ok", 58, "t-mixture-mgf"),
+    ("mixture", 0.001, 0.1, 0.7, (32, 16), None, "ok", 11, "t-mixture-mgf"),
+    ("mixture", 0.1, 0.01, 0.001, (5, 17), None, "ok", 5559, "t-mixture-mgf"),
+    ("mixture", 0.01, 0.3, 3.0, (2, 18), None, "ok", 5, "t-mixture-mgf"),
+    ("mixture", 0.05, 0.1, 0.004, (256, 19), None, "ok", 886, "t-mixture-mgf"),
+    ("mixture", 0.05, 0.1, 0.002, (7, 20), 10, "NotAttainableError", None, None),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,alpha,pi,effect,shape,n_max,status,n_exact,regime", GOLDEN_PLANS
+)
+def test_golden_plans(kind, alpha, pi, effect, shape, n_max, status, n_exact, regime):
+    target = PfdrTarget(alpha, pi)
+    kwargs = {} if n_max is None else {"n_max": n_max}
+    if kind == "f":
+        plan = lambda: plan_f(target, FEffect(effect, shape), **kwargs)
+    else:
+        mixture = SnrMixture(atoms=_random_atoms(*shape), scale=effect)
+        plan = lambda: plan_t_mixture(target, mixture, **kwargs)
+    if status == "NotAttainableError":
+        with pytest.raises(NotAttainableError):
+            plan()
+    else:
+        report = plan()
+        assert (report.n_exact, report.regime) == (n_exact, regime)

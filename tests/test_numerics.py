@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import optimize
+from scipy import optimize, special
 
 import oracles
 from pfdr_sizer import numerics
@@ -189,60 +189,85 @@ class TestSumSeries:
             sum_series(growing())
 
 
-def _poisson_rows(lams, widths=None):
-    """Chunk function of Poisson log terms, one row per rate; records widths."""
+def _poisson_rows(lams, ranges=None):
+    """Chunk function of Poisson log terms, one row per rate; records ranges."""
     log_lams = np.log(np.asarray(lams, dtype=float))[:, None]
 
     def chunk(k0, k1):
-        if widths is not None:
-            widths.append(k1 - k0)
+        if ranges is not None:
+            ranges.append((k0, k1))
         k = np.arange(k0, k1, dtype=float)
-        return k * log_lams - np.array([math.lgamma(v + 1.0) for v in k])
+        return k * log_lams - special.gammaln(k + 1.0)
 
     return chunk
 
 
 class TestLogSumRows:
     def test_poisson_normalizers(self):
-        # sum_k lam^k / k! = e^lam, also far beyond float range
-        lams = [0.1, 1.0, 10.0, 100.0, 800.0, 5000.0]
-        got = log_sum_rows(_poisson_rows(lams))
-        assert got == pytest.approx(lams, rel=1e-13)
+        # sum_k lam^k / k! = e^lam, also far beyond float range; the Poisson
+        # mode is floor(lam)
+        for lam in [0.1, 1.0, 10.0, 100.0, 800.0, 5000.0, 2e5]:
+            ranges = []
+            (got,) = log_sum_rows(_poisson_rows([lam], ranges), lam, lam)
+            assert got == pytest.approx(lam, rel=1e-13)
+            assert len(ranges) == 1  # a right mode needs one pass
+            k0, k1 = ranges[0]
+            h = 8 + math.ceil(9.0 * math.sqrt(2.0 * math.ceil(lam) + 2.0))
+            assert (k0, k1) == (max(0, math.floor(lam) - h), math.ceil(lam) + h + 1)
 
     def test_matches_scalar_summator(self):
         for lam in [0.5, 30.0, 400.0]:
-            (got,) = log_sum_rows(_poisson_rows([lam]))
+            (got,) = log_sum_rows(_poisson_rows([lam]), lam, lam)
             assert got == pytest.approx(
                 log_sum_series(_poisson_log_terms(lam)), rel=1e-14
             )
 
-    def test_rows_stop_together_past_every_mode(self):
-        widths = []
-        got = log_sum_rows(_poisson_rows([1.0, 3000.0], widths))
-        # the row with its mode near 3000 keeps the small row going too
-        assert sum(widths) > 3000
-        assert got == pytest.approx([1.0, 3000.0], rel=1e-13)
+    @pytest.mark.parametrize("guess", [0.0, 20.0, 2900.0, 6000.0, 50_000.0])
+    def test_poor_mode_guess_costs_passes_not_accuracy(self, guess):
+        ranges = []
+        (got,) = log_sum_rows(_poisson_rows([3000.0], ranges), guess, guess)
+        assert got == pytest.approx(3000.0, rel=1e-13)
+        if guess in (0.0, 50_000.0):
+            assert len(ranges) > 1
 
-    def test_chunks_double_up_to_a_cell_budget(self, monkeypatch):
-        monkeypatch.setattr(numerics, "_MAX_TERMS", 50_000)
-        for rows in (1, 3, 512):
-            widths = []
-            with pytest.raises(SeriesDivergenceError):
-                log_sum_rows(_poisson_rows([1e6] * rows, widths))
-            assert widths[0] == 64
-            assert sum(widths) == 50_000
-            assert max(widths) == max(64, 16384 // rows)
-            for a, b in zip(widths, widths[1:-1]):
-                assert b == min(2 * a, max(64, 16384 // rows))
+    def test_rows_stop_together_past_every_mode(self):
+        ranges = []
+        got = log_sum_rows(_poisson_rows([1.0, 3000.0, 1e5], ranges), 1.0, 1e5)
+        # one window spans every row's mode, so the row with its mode near
+        # 1 is summed over it too
+        assert got == pytest.approx([1.0, 3000.0, 1e5], rel=1e-13)
+        assert ranges[0][0] == 0
+        assert ranges[-1][1] > 1e5 + 9 * math.sqrt(1e5)
+
+    @pytest.mark.parametrize("rows,top", [(1, 4e4), (3, 4e4), (512, 4e4), (20_000, 1.0)])
+    def test_blocks_stay_under_the_cell_cap(self, rows, top):
+        ranges = []
+        lams = np.geomspace(1e-3, top, rows)
+        got = log_sum_rows(_poisson_rows(lams, ranges), 1e-3, top, rows=rows)
+        assert got == pytest.approx(lams, rel=1e-13)
+        # the window is cut into contiguous blocks at least two terms wide,
+        # and each holds at most 16384 cells while two-term blocks fit
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+        widths = [k1 - k0 for k0, k1 in ranges]
+        assert min(widths) >= 2
+        assert max(rows * w for w in widths) <= max(16384, 3 * rows)
 
     def test_divergence_message_names_last_term_and_tolerance(self, monkeypatch):
         monkeypatch.setattr(numerics, "_MAX_TERMS", 1000)
         growing = lambda k0, k1: 0.1 * np.arange(k0, k1, dtype=float)[None, :]
         with pytest.raises(SeriesDivergenceError) as info:
-            log_sum_rows(growing)
+            log_sum_rows(growing, 0.0, 0.0)
         assert "no truncation after 1000 terms" in str(info.value)
         assert "last log term 99.9" in str(info.value)
         assert "rel_tol 1e-14" in str(info.value)
+
+    @pytest.mark.parametrize("mode", [999_990.0, 1e7, math.inf, math.nan])
+    def test_window_past_the_budget_raises_before_summing(self, mode):
+        ranges = []
+        with pytest.raises(SeriesDivergenceError, match="no truncation after 1000000"):
+            log_sum_rows(_poisson_rows([1e6] * 512, ranges), mode, mode, rows=512)
+        # only the budget's last term is computed, for the message
+        assert ranges == [(999_999, 1_000_000)]
 
 
 class TestFindRootIncreasing:
