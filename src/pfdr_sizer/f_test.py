@@ -18,7 +18,8 @@ parameter space, selected by where (delta, p) sits:
   * log power          n ~ 2 ln(Q) / ln(1 + delta^2)  (delta fixed, p large)
 
 where M_p(t) = sum_k Gamma(p/2) (t^2/4)^k / (k! Gamma(k + p/2)) is the limit
-of K along n * delta -> t (M_1 = cosh, M_2 the order-zero Bessel function).
+of K along n * delta -> t (M_1 = cosh, M_2 the order-zero Bessel function),
+summed by m_p in plain floats.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 from .numerics import _MAX_CHUNK_CELLS, exp_or_inf, find_root_increasing, log_sum_rows
+from .numerics import log_factorials
 from .pfdr_core import DEFAULT_N_MAX, LrSupCurve, PfdrTarget, PlanReport, min_n_search
 
 __all__ = [
@@ -84,13 +86,13 @@ def _log_k(p: int, n: int, delta: float) -> float:
     """log K, summed by log_sum_rows as one row over a window around _f_mode.
 
     log b_{p,n,k0} is a pairwise sum of log1p(n / (p + 2j)) over j < k0, by
-    blocks, carried through each chunk as a running sum.
+    blocks, carried through each chunk as a running sum; log k! is sliced
+    from the shared table of numerics.log_factorials.
     """
     a = 0.5 * (n + p) * delta * delta
     if a == 0.0:  # delta = 0, or A underflowed: K = 1
         return 0.0
     import numpy as np
-    from scipy import special
 
     log_a, block = math.log(a), _MAX_CHUNK_CELLS
 
@@ -102,7 +104,7 @@ def _log_k(p: int, n: int, delta: float) -> float:
         k = np.arange(k0, k1, dtype=float)
         step = np.log1p(n / (p + 2.0 * k))
         lbs = np.cumsum(np.concatenate(([lb], step[:-1])))
-        return (lbs + k * log_a - special.gammaln(k + 1.0))[None, :]
+        return (lbs + k * log_a - log_factorials(k1)[k0:k1])[None, :]
 
     mode = _f_mode(p, n, a)
     return -a + float(log_sum_rows(chunk, mode, mode)[0])
@@ -140,21 +142,42 @@ def m_p(p: int, t: float) -> float:
     M_p(t) = sum_k Gamma(p/2) (t^2/4)^k / (k! Gamma(k + p/2))
            = 0F1(; p/2; t^2/4);  M_p(0) = 1.
 
-    The closed form comes from scipy: I0 for p = 2, hyp0f1 otherwise.  Its
-    value is clamped to at least 1, which absorbs I0 rounding to 1 - 2 ulp
-    at t below about 3e-8.
+    Summed by _log_m_p; inf once it passes exp(709.78).
     """
     if p < 1:
         raise ValueError(f"p must be a positive integer, got {p!r}")
-    u = abs(t)
-    if u == 0.0:
-        return 1.0
-    from scipy import special
+    return exp_or_inf(_log_m_p(p, t))
 
-    # hyp0f1 at p = 2 and t above about 730, where the true value overflows,
-    # returns 0 and prints an ignored ZeroDivisionError; i0 returns inf
-    value = float(special.i0(u) if p == 2 else special.hyp0f1(0.5 * p, 0.25 * u * u))
-    return max(value, 1.0)
+
+def _log_m_p(p: int, t: float) -> float:
+    """log M_p(t): log1p of the float sum of terms k >= 1 of its series.
+
+    Term k is term k - 1 times z / (k (k + p/2 - 1)), z = t^2 / 4, and the
+    sum stops at the first term that leaves it unchanged.  Every step rounds
+    monotonically, so the result is nondecreasing in |t|.  The sum overflows
+    only where M_p does; where its largest term alone passes exp(709.79),
+    by lgamma, inf comes back unsummed.
+    """
+    z, b1 = 0.25 * t * t, 0.5 * p - 1.0
+    if z == 0.0:
+        return 0.0
+    # M_p <= M_1 = cosh t: only |t| > 709.78 can overflow (a NaN t raises here)
+    if not abs(t) <= 709.78:
+        if z == math.inf:
+            return math.inf
+        # the largest term is the last whose ratio is >= 1: k (k + b1) <= z
+        mode = math.floor(0.5 * (math.sqrt(b1 * b1 + 4.0 * z) - b1))
+        log_top = mode * math.log(z) - math.lgamma(mode + 1.0) - math.lgamma(mode + b1 + 1.0)
+        if math.lgamma(b1 + 1.0) + log_top > 709.79:
+            return math.inf
+    total, term, k = 0.0, 1.0, 0.0
+    while True:
+        k += 1.0
+        term *= z / (k * (k + b1))
+        new = total + term
+        if new == total:
+            return math.log1p(total)
+        total = new
 
 
 def quadratic_root_n(p: int, delta: float, a: float) -> float:
@@ -188,7 +211,7 @@ def plan_f(target: PfdrTarget, effect: FEffect, n_max: int = DEFAULT_N_MAX) -> P
         n_mgf = n_quad = n_logpow = 1.0
     else:
         hint = max(1.0, min(a + 1.0, math.sqrt(2.0 * p * a)))
-        t_star = find_root_increasing(lambda t: math.log(m_p(p, t)), a, hint)
+        t_star = find_root_increasing(lambda t: _log_m_p(p, t), a, hint)
         n_mgf = max(1.0, t_star / delta)
         n_quad = max(1.0, n_quad)
         n_logpow = max(1.0, math.ceil(2.0 * a / math.log1p(delta * delta)))

@@ -48,7 +48,10 @@ if TYPE_CHECKING:
 from .numerics import (
     RootBracketError,
     RootRangeError,
+    digamma,
     find_root_increasing,
+    log_i0_and_ratio,
+    trigamma,
 )
 from .pfdr_core import PfdrTarget, PlanReport
 
@@ -338,29 +341,18 @@ def cauchy_score_model() -> ScoreModel:
     because the score density blows up like a reciprocal square root at the
     endpoints (which only affects constants, not the plan).
     """
-    from scipy import special
-
-    def ratio(u: float) -> float:
-        # I1(u) / I0(u) via exponentially scaled Bessel functions, u >= 0
-        return float(special.i1e(u) / special.i0e(u))
 
     def lam(t: float) -> float:
-        u = abs(t)
-        return u + math.log(float(special.i0e(u)))
+        return log_i0_and_ratio(abs(t))[0]
 
     def lam1(t: float) -> float:
-        u = abs(t)
-        if u < 1e-5:
-            v = 0.5 * u - u**3 / 16.0
-        else:
-            v = ratio(u)
-        return math.copysign(v, t) if t != 0.0 else 0.0
+        return math.copysign(log_i0_and_ratio(abs(t))[1], t)
 
     def lam2(t: float) -> float:
         u = abs(t)
         if u < 1e-5:
             return 0.5 - 3.0 * u * u / 16.0
-        r = ratio(u)
+        r = log_i0_and_ratio(u)[1]
         return 1.0 - r / u - r * r
 
     cgf = CgfModel(
@@ -378,7 +370,6 @@ def gamma_score_model() -> ScoreModel:
     ln Gamma(1 + t) + EULER_GAMMA t on t > -1.  Its density is asymmetric,
     and K_f = 1 - ln 2 exactly.
     """
-    from scipy import special
 
     def lam(t: float) -> float:
         if t <= -1.0:
@@ -388,12 +379,12 @@ def gamma_score_model() -> ScoreModel:
     def lam1(t: float) -> float:
         if t <= -1.0:
             raise ValueError(f"t = {t!r} is outside the domain (t > -1)")
-        return float(special.digamma(1.0 + t)) + EULER_GAMMA
+        return digamma(1.0 + t) + EULER_GAMMA
 
     def lam2(t: float) -> float:
         if t <= -1.0:
             raise ValueError(f"t = {t!r} is outside the domain (t > -1)")
-        return float(special.polygamma(1, 1.0 + t))
+        return trigamma(1.0 + t)
 
     cgf = CgfModel(
         lambda_fn=lam,

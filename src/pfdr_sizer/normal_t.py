@@ -219,19 +219,28 @@ def lr_sup_t_mixture(n: int, mixture: SnrMixture) -> float:
     atom d peaks near k = (d^2 + sqrt(d^4 + 4 d^2 n)) / 2 - 1.
     """
     import numpy as np
-    from scipy import special
 
     _check_t_args(n, mixture.scale)
     r, w = np.array(mixture.atoms).T
     d = math.sqrt(n + 1.0) * mixture.scale * r
     log_x = (0.5 * math.log(2.0) + np.log(d))[:, None]
-    # the same gammaln as the chunks' k = 0 term, so a_{n,0} is exactly 1
-    lg0 = special.gammaln(0.5 * (n + 1.0))
+    lg0 = math.lgamma(0.5 * (n + 1.0))
+
+    def shared_at(k: int) -> float:
+        return math.lgamma(0.5 * (n + k + 1.0)) - lg0 - math.lgamma(k + 1.0)
 
     def chunk(k0: int, k1: int) -> np.ndarray:
-        k = np.arange(k0, k1, dtype=float)
-        shared = special.gammaln(0.5 * (n + k + 1.0)) - lg0 - special.gammaln(k + 1.0)
-        return shared + k * log_x
+        # log a_{n,k} - log k! from lgamma at k0 and k0 + 1, then by one
+        # cumsum per parity down the columns of a (pairs, 2) view, as the
+        # terms k and k + 2 differ by log((n + k + 1) / (2 (k + 1)(k + 2)))
+        pairs = (k1 - k0 + 1) // 2
+        k = np.arange(k0, k0 + 2 * pairs, dtype=float)
+        j = k[:-2]
+        shared = np.empty(2 * pairs)
+        shared[0], shared[1] = shared_at(k0), shared_at(k0 + 1)
+        shared[2:] = np.log(0.5 * (j + (n + 1.0)) / ((j + 1.0) * (j + 2.0)))
+        shared = shared.reshape(pairs, 2).cumsum(axis=0).ravel()
+        return (shared + k * log_x)[:, : k1 - k0]
 
     def mode(atom: tuple[float, float]) -> float:
         d = math.sqrt(n + 1.0) * mixture.scale * atom[0]

@@ -16,6 +16,9 @@ window around their modes, so its cost grows with the mode's square root.
 exp_or_inf turns such a log back into a value, inf once it passes float
 range; sum_series is the two composed.
 
+The special functions the kernels need are here too, in plain floats: a
+cached table of log k!, log I0 with I1 / I0, digamma and trigamma.
+
 The root finder is scale-free: its first step is the size of the hint and
 the Brent polish stops on a relative tolerance alone, so solving f(x / b)
 from b times the hint gives b times the root for any scale b.  The polish is
@@ -39,6 +42,10 @@ __all__ = [
     "sum_series",
     "log_sum_series",
     "log_sum_rows",
+    "log_factorials",
+    "log_i0_and_ratio",
+    "digamma",
+    "trigamma",
     "find_root_increasing",
 ]
 
@@ -194,6 +201,95 @@ def log_sum_rows(
         f"no truncation after {_MAX_TERMS} terms "
         f"(last log term {last.max():.6g}, rel_tol {_REL_TOL:g})"
     )
+
+
+_log_factorial_table: np.ndarray | tuple[()] = ()
+
+
+def log_factorials(size: int) -> np.ndarray:
+    """Read-only array of log k! = lgamma(k + 1) for k < size, or more.
+
+    The cached table grows by doubling up to 10^6 entries (8 MB).  A larger
+    table is built whole before it replaces the cached one, so threads need
+    no lock: each call returns a whole table of at least size entries.
+    """
+    global _log_factorial_table
+    table = _log_factorial_table
+    if len(table) < size:
+        import numpy as np
+
+        grown = min(_MAX_TERMS, max(size, 2 * len(table)))
+        new = np.fromiter(map(math.lgamma, range(len(table) + 1, grown + 1)), float)
+        table = np.concatenate((table, new))
+        table.flags.writeable = False
+        _log_factorial_table = table
+    return table
+
+
+def log_i0_and_ratio(u: float) -> tuple[float, float]:
+    """(log I0(u), I1(u) / I0(u)) for u >= 0.
+
+    Below u = 25 from the power series in (u/2)^2, of positive terms; from 25
+    on from Hankel's expansion (Abramowitz & Stegun 9.7.1), whose terms are
+    below rounding by k = 20, before they grow at k = 2u.  Both stop at the
+    first term that changes neither sum.
+    """
+    s0 = s1 = t0 = t1 = 1.0
+    k = 0
+    if u < 25.0:
+        z = 0.25 * u * u
+        while True:
+            k += 1
+            t0 *= z / (k * k)
+            t1 *= z / (k * (k + 1))
+            if s0 + t0 == s0 and s1 + t1 == s1:
+                return math.log(s0), 0.5 * u * s1 / s0
+            s0, s1 = s0 + t0, s1 + t1
+    while True:
+        k += 1
+        odd2 = (2 * k - 1) ** 2
+        t0 *= odd2 / (8.0 * k * u)
+        t1 *= (odd2 - 4) / (8.0 * k * u)
+        if s0 + t0 == s0 and s1 + t1 == s1:
+            return u - 0.5 * math.log(2.0 * math.pi * u) + math.log(s0), s1 / s0
+        s0, s1 = s0 + t0, s1 + t1
+
+
+# B_2k / 2k and B_2k, k = 8 down to 1: the Stirling series of digamma and
+# trigamma (Abramowitz & Stegun 6.3.18 and 6.4.12) to the B_16 term
+_BERNOULLI = (-3617 / 510, 7 / 6, -691 / 2730, 5 / 66, -1 / 30, 1 / 42, -1 / 30, 1 / 6)
+_DIGAMMA_COEFS = tuple(b / (16 - 2 * i) for i, b in enumerate(_BERNOULLI))
+
+
+def digamma(x: float) -> float:
+    """psi(x) for x > 0: upward recurrence to x >= 10, then the Stirling series.
+
+    The recurrence's sum is compensated, since psi cancels to 0 at 1.4616.
+    """
+    total = comp = 0.0
+    while x < 10.0:
+        step = 1.0 / x
+        new = total + step
+        comp += (total - new) + step
+        total = new
+        x += 1.0
+    w, series = 1.0 / (x * x), 0.0
+    for c in _DIGAMMA_COEFS:
+        series = (series + c) * w
+    return (math.log(x) - total) - comp - 0.5 / x - series
+
+
+def trigamma(x: float) -> float:
+    """psi'(x) for x > 0: upward recurrence to x >= 10, then the Stirling series."""
+    total = 0.0
+    while x < 10.0:
+        step = 1.0 / x
+        total += step * step
+        x += 1.0
+    w, series = 1.0 / (x * x), 0.0
+    for b in _BERNOULLI:
+        series = (series + b) * w
+    return total + (1.0 + 0.5 / x + series) / x
 
 
 # brentq's minimum relative step; roots are wanted at machine precision

@@ -8,8 +8,8 @@ ratio on a grid and locate the supremum by brute force.  The two series
 oracles are the exception: they sum the package's own series one Python
 term at a time with log_sum_series, from k = 0, so they check the numpy
 summation, its window and its vectorised term recurrences rather than the
-series formulas.  log_lr_sup_f_hyp1f1 checks the F formula itself, in
-mpmath.
+series formulas.  log_lr_sup_f_hyp1f1 checks the F formula itself, and
+the other mpmath oracles the special functions, at 50 digits.
 """
 
 from __future__ import annotations
@@ -134,6 +134,32 @@ def log_lr_sup_f_hyp1f1(p: int, n: int, delta: float) -> float:
         a = mpmath.mpf(n + p) * mpmath.mpf(delta) ** 2 / 2
         k = mpmath.hyp1f1(mpmath.mpf(n + p) / 2, mpmath.mpf(p) / 2, a, maxterms=10**7)
         return float(mpmath.log(k) - a)
+
+
+def log_m_p_hyp0f1(p: int, t: float) -> float:
+    """log M_p(t) = log 0F1(; p / 2; t^2 / 4) from mpmath at 50 digits."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        z = mpmath.mpf(t) ** 2 / 4
+        return float(mpmath.log(mpmath.hyp0f1(mpmath.mpf(p) / 2, z, maxterms=10**6)))
+
+
+def log_i0_and_ratio_mpmath(u: float) -> tuple[float, float]:
+    """(log I0(u), I1(u) / I0(u)) from mpmath's Bessel functions at 50 digits."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        i0 = mpmath.besseli(0, u)
+        return float(mpmath.log(i0)), float(mpmath.besseli(1, u) / i0)
+
+
+def polygamma_mpmath(m: int, x: float) -> float:
+    """psi^(m)(x) from mpmath at 50 digits: digamma for m = 0, trigamma for 1."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        return float(mpmath.psi(m, x))
 
 
 def lr_sup_t_mixture_by_atom(n: int, atoms, scale: float) -> float:

@@ -6,6 +6,7 @@ from scipy import optimize, special
 import oracles
 from pfdr_sizer.f_test import (
     FEffect,
+    _log_m_p,
     log_lr_sup_f,
     lr_sup_f,
     m_p,
@@ -74,6 +75,11 @@ class TestLrSupF:
             lr_sup_f(2, 5, -0.5)
 
 
+# dimensions of the mpmath checks of m_p, up to where 0F1's parameter is
+# far larger than its argument's square root
+MP_DIMENSIONS = [1, 2, 3, 10, 1000, 100_000, 3_000_000]
+
+
 class TestMp:
     def test_at_zero(self):
         assert m_p(5, 0.0) == 1.0
@@ -82,7 +88,7 @@ class TestMp:
         assert m_p(1, 2.0) == pytest.approx(math.cosh(2.0), rel=1e-12)
 
     def test_two_dimensions_is_bessel(self):
-        # m_p evaluates I0 itself at p = 2, so the reference is a quadrature
+        # the reference is a quadrature, not a series like the one m_p sums
         expected = math.exp(oracles.log_i0_quadrature(3.0))
         assert m_p(2, 3.0) == pytest.approx(expected, rel=1e-12)
 
@@ -95,6 +101,35 @@ class TestMp:
     def test_increasing(self):
         vals = [m_p(3, t) for t in [0.5, 1.0, 2.0, 4.0]]
         assert all(a < b for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("p", MP_DIMENSIONS)
+    def test_log_against_hypergeometric(self, p):
+        # 40 log-spaced t from log M near 1e-12 to past 700; those with log M
+        # in [1e-12, 700] are checked, relative to log M itself
+        lo, hi = math.sqrt(2e-12 * p), 2.0 * max(710.0, math.sqrt(1420.0 * p))
+        checked = 0
+        for i in range(40):
+            t = lo * (hi / lo) ** (i / 39)
+            ref = oracles.log_m_p_hyp0f1(p, t)
+            if 1e-12 <= ref <= 700.0:
+                assert _log_m_p(p, t) == pytest.approx(ref, rel=1e-13, abs=0.0)
+                checked += 1
+        assert checked >= 20
+
+    @pytest.mark.parametrize("p", MP_DIMENSIONS)
+    def test_inf_exactly_past_float_range(self, p):
+        # bisect t to 1e-12 around the 50-digit crossing log M = 709.78,
+        # exp_or_inf's cutoff; log M moves by about 1e-9 across that bracket
+        a, b = 1.0, 2.0 * max(720.0, math.sqrt(1440.0 * p))
+        assert oracles.log_m_p_hyp0f1(p, b) >= 709.78
+        while b / a - 1.0 > 1e-12:
+            mid = math.sqrt(a * b)
+            if oracles.log_m_p_hyp0f1(p, mid) < 709.78:
+                a = mid
+            else:
+                b = mid
+        assert 1e308 < m_p(p, a) < math.inf
+        assert m_p(p, b) == math.inf
 
 
 class TestQuadraticRoot:

@@ -123,9 +123,10 @@ def test_lr_sup_t_mixture_matches_atom_sum(atoms, seed, scale, n):
 )
 @example(p=2, t=1000.0, factor=1.0)
 @example(p=2, t=700.0, factor=1.5)
-# I0 rounds to 1 - 2 ulp below t of about 2.7e-8, and m_p clamps it to 1
+# tiny t, where M_2 = 1 + t^2 / 4 is 1 to within a few ulp
 @example(p=2, t=1e-10, factor=1.0)
 @example(p=2, t=1e-9, factor=10.0)
+@example(p=2, t=1e-8, factor=3.0)
 @example(p=2, t=2.6e-8, factor=1.15)
 @example(p=2, t=3e-8, factor=1.0)
 def test_m_p_at_least_one_and_nondecreasing(p, t, factor):

@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -123,6 +125,74 @@ class TestBesselI0Log:
         corr = 1.0 + 1.0 / (8 * t) + 9.0 / (128 * t * t) + 225.0 / (3072 * t**3)
         expected = t - 0.5 * math.log(2.0 * math.pi * t) + math.log(corr)
         assert bessel_i0_log(t) == pytest.approx(expected, rel=1e-10)
+
+
+# absolute error allowed against the 50-digit mpmath oracles, in units of
+# max(1, |reference|)
+SPECIAL_TOL = 2e-15
+
+
+def _special_error(got: float, ref: float) -> float:
+    return abs(got - ref) / max(1.0, abs(ref))
+
+
+class TestSpecialFunctions:
+    # both sides of the switch from the power series to Hankel's expansion
+    U_EDGES = [math.nextafter(25.0, 0.0), 25.0, math.nextafter(25.0, 30.0), 24.9, 25.1]
+    # psi(1) = -gamma, the root of psi and both sides of the recurrence's end
+    X_EDGES = [1.0, 1.4616321449683623, math.nextafter(10.0, 0.0), 10.0, 10.5]
+
+    def test_bessel_against_mpmath(self):
+        for u in [*np.geomspace(1e-6, 1e4, 81), *self.U_EDGES]:
+            got = numerics.log_i0_and_ratio(float(u))
+            ref = oracles.log_i0_and_ratio_mpmath(float(u))
+            for g, r in zip(got, ref):
+                assert _special_error(g, r) <= SPECIAL_TOL, (u, g, r)
+
+    def test_bessel_at_zero(self):
+        assert numerics.log_i0_and_ratio(0.0) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_polygamma_against_mpmath(self, order):
+        kernel = (numerics.digamma, numerics.trigamma)[order]
+        for x in [*np.geomspace(1e-3, 1e4, 81), *self.X_EDGES]:
+            got, ref = kernel(float(x)), oracles.polygamma_mpmath(order, float(x))
+            assert _special_error(got, ref) <= SPECIAL_TOL, (x, got, ref)
+
+    def test_log_factorials(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_log_factorial_table", ())
+        table = numerics.log_factorials(300)
+        assert len(table) == 300
+        assert not table.flags.writeable
+        assert all(table[k] == math.lgamma(k + 1) for k in range(300))
+        # growth doubles, keeps the old entries and stops at the term budget
+        assert len(numerics.log_factorials(301)) == 600
+        full = numerics.log_factorials(numerics._MAX_TERMS + 10)
+        assert len(full) == numerics._MAX_TERMS
+        assert np.array_equal(full[:300], table[:300])
+        assert full[-1] == math.lgamma(numerics._MAX_TERMS)
+
+    def test_log_factorials_under_threads(self, monkeypatch):
+        # more threads than cores grow the shared table at once; each call
+        # must still get a whole table of at least the size it asked for
+        monkeypatch.setattr(numerics, "_log_factorial_table", ())
+        sizes = [int(s) for s in np.random.default_rng(5).integers(1, 200_000, 64)]
+        bad = []
+
+        def grow(size):
+            table = numerics.log_factorials(size)
+            if len(table) < size or table[size - 1] != math.lgamma(size):
+                bad.append(size)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for future in [pool.submit(grow, s) for s in sizes]:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert bad == []
 
 
 def _poisson_log_terms(lam: float):
