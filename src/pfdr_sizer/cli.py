@@ -14,6 +14,7 @@ import io
 import math
 import numbers
 import sys
+import warnings
 from dataclasses import asdict, dataclass
 from typing import Any, Sequence
 
@@ -482,10 +483,16 @@ def _empirical_model(p: dict[str, Any]):
         raise UsageError("family=empirical requires --sample-file")
     import numpy as np
 
+    path = p["sample-file"]
     try:
-        sample = np.loadtxt(p["sample-file"]).ravel()
+        with warnings.catch_warnings():
+            # numpy warns on an empty file; the error below says it instead
+            warnings.simplefilter("ignore", UserWarning)
+            sample = np.loadtxt(path).ravel()
     except OSError as exc:
         raise UsageError(f"cannot read sample file: {exc}") from exc
+    if sample.size == 0:
+        raise UsageError(f"sample file {path!r} holds no observations")
     try:
         grid = [float(v) for v in p["t-grid"].split(",") if v.strip()]
     except ValueError as exc:

@@ -878,6 +878,12 @@ def empirical_cgf(
     hull of t_grid intersected with { t : max_i |t x_i| <= 700 } so every
     later evaluation stays finite.  Derivatives are the exact tilted
     moments of the empirical distribution.
+
+    One evaluation makes one new sample-sized array of weights
+    exp(t x_i - max_j t x_j) and computes only the moments it returns;
+    lambda_d2 away from t = 0 needs one more.  The curvature at t = 0,
+    which every solve_t0 and legendre call asks for, is computed once here.
+    Evaluations share no buffer, so threads may evaluate one model at once.
     """
     import numpy as np
 
@@ -890,6 +896,8 @@ def empirical_cgf(
     grid = np.asarray(t_grid, dtype=float).ravel()
     if grid.size < 2:
         raise ValueError("t_grid needs at least two points")
+    if np.isnan(grid).any():
+        raise ValueError("t_grid contains NaN")
     t_lo, t_hi = float(grid.min()), float(grid.max())
     x_min, x_max = float(x.min()), float(x.max())
     allow_hi = _OVERFLOW_BUDGET / x_max if x_max > 0.0 else math.inf
@@ -902,22 +910,45 @@ def empirical_cgf(
             "widen t_grid or rescale the sample"
         )
 
-    def _tilted(t: float) -> tuple[float, float, float]:
+    def _weights(t: float) -> tuple[np.ndarray, float, float]:
+        # exp(t x_i - m) with m = max_i t x_i: rounding keeps the order of
+        # the products, so m is t x_max for t >= 0 and t x_min for t < 0
         if not inf_ <= t <= sup:
             raise ValueError(f"t = {t!r} outside the admissible interval")
-        w = t * x
-        m = float(w.max())
-        e = np.exp(w - m)
-        s = float(e.sum())
-        mean1 = float((x * e).sum()) / s
-        mean2 = float((x * x * e).sum()) / s
-        lam = m + math.log(s / x.size)
-        return lam, mean1, mean2 - mean1 * mean1
+        t = float(t)  # so that a numpy-scalar t still gives Python floats
+        m = t * (x_max if t >= 0.0 else x_min)
+        e = t * x
+        e -= m
+        np.exp(e, out=e)
+        return e, m, float(e.sum())
+
+    def lambda_fn(t: float) -> float:
+        _, m, s = _weights(t)
+        return m + math.log(s / x.size)
+
+    def lambda_d1(t: float) -> float:
+        e, _, s = _weights(t)
+        e *= x
+        return float(e.sum()) / s
+
+    def tilted_variance(t: float) -> float:
+        e, _, s = _weights(t)
+        xe = x * e
+        mean1 = float(xe.sum()) / s
+        np.multiply(x, x, out=xe)
+        xe *= e
+        mean2 = float(xe.sum()) / s
+        return mean2 - mean1 * mean1
+
+    d2_0 = tilted_variance(0.0)
+
+    def lambda_d2(t: float) -> float:
+        return d2_0 if t == 0.0 else tilted_variance(t)
 
     return CgfModel(
-        lambda_fn=lambda t: _tilted(t)[0],
-        lambda_d1=lambda t: _tilted(t)[1],
-        lambda_d2=lambda t: _tilted(t)[2],
+        lambda_fn=lambda_fn,
+        lambda_d1=lambda_d1,
+        lambda_d2=lambda_d2,
         domain_sup=sup,
         domain_inf=inf_,
         family_tag="empirical",

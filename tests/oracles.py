@@ -202,6 +202,25 @@ def golden_max(f, lo: float, hi: float, tol: float = 1e-12) -> tuple[float, floa
     return x, f(x)
 
 
+def empirical_tilted_reference(x, t: float) -> tuple[float, float, float]:
+    """Lambda, Lambda' and Lambda'' of the centered empirical cgf at t.
+
+    The direct formulas: the sample is centered, the weights are
+    exp(t x_i - max_j t x_j) with the maximum found by a pass over t x, and
+    every moment is summed from its own temporaries.  empirical_cgf
+    reorganises these sums to save memory and must return the same bits.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    x = x - x.mean()
+    w = t * x
+    m = float(w.max())
+    e = np.exp(w - m)
+    s = float(e.sum())
+    mean1 = float((x * e).sum()) / s
+    mean2 = float((x * x * e).sum()) / s
+    return m + math.log(s / x.size), mean1, mean2 - mean1 * mean1
+
+
 def exact_normal_mean_tail(u: float, sigma: float, n: int) -> float:
     """P(mean of n independent N(0, sigma) >= u), exactly."""
     return 0.5 * math.erfc(u * math.sqrt(n) / (sigma * math.sqrt(2.0)))

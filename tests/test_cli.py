@@ -334,6 +334,21 @@ class TestFailureStatuses:
         assert report["outputs"] == {}
         assert "domain boundary" in report["diagnostics"]["message"]
 
+    def test_empty_sample_file_is_one_error_line(self, tmp_path):
+        # a fresh process, so that a warning printed on stderr is seen
+        sample = tmp_path / "empty.txt"
+        sample.write_text("")
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "from pfdr_sizer.cli import main_entry; main_entry()",
+             "plan-general", "--alpha", "0.05", "--pi", "0.1",
+             "--family", "empirical", "--sample-file", str(sample),
+             "--effect", "0.3", "--rho", "0.4"],
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: sample file {str(sample)!r} holds no observations\n"
+
     def test_series_divergence_exit_one(self, capsys):
         code, out, err = _run(
             capsys,

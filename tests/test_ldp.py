@@ -1,9 +1,14 @@
 import inspect
 import math
+import sys
+import threading
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import integrate
 
 import oracles
@@ -491,6 +496,11 @@ class TestEmpiricalCgf:
         with pytest.raises(ValueError):
             empirical_cgf(RNG.standard_normal(200), t_grid=(0.5, 1.0))
 
+    @pytest.mark.parametrize("grid", [(math.nan, 1.0), (-1.0, 0.5, math.nan)])
+    def test_grid_must_not_hold_nan(self, grid):
+        with pytest.raises(ValueError, match="t_grid contains NaN"):
+            empirical_cgf(RNG.standard_normal(200), t_grid=grid)
+
     def test_constant_sample_has_no_curvature(self):
         cgf = empirical_cgf(np.zeros(500), t_grid=(-1.0, 1.0))
         with pytest.raises(RootRangeError):
@@ -502,6 +512,94 @@ class TestEmpiricalCgf:
         t0 = solve_t0(cgf, TailIndex(lam=0.0), SplitSpec(rho=0.5))
         # near the normal closed form sqrt(rho/(1-rho))/sigma = 1
         assert t0 == pytest.approx(1.0, rel=0.05)
+
+
+_EMPIRICAL_SHAPES = {
+    "normal": lambda rng, n: rng.standard_normal(n),
+    "gamma": lambda rng, n: rng.gamma(0.5, size=n),
+    "negative-exponential": lambda rng, n: -rng.exponential(size=n),
+    "t3": lambda rng, n: rng.standard_t(3, size=n),
+}
+
+
+class TestEmpiricalCgfEvaluation:
+    """Every evaluation returns the bits of the direct tilted-moment formulas,
+    holds at most one or two sample-sized arrays, and is safe under threads."""
+
+    @given(
+        shape=st.sampled_from(sorted(_EMPIRICAL_SHAPES)),
+        size=st.integers(100, 20_000),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+        shift=st.floats(-100.0, 100.0),
+        half_widths=st.tuples(st.floats(0.01, 50.0), st.floats(0.01, 50.0)),
+        interior=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+    )
+    def test_bit_identical_to_the_direct_formulas(
+        self, shape, size, seed, scale, shift, half_widths, interior
+    ):
+        sample = _EMPIRICAL_SHAPES[shape](np.random.default_rng(seed), size) * scale + shift
+        cgf = empirical_cgf(sample, t_grid=(-half_widths[0], half_widths[1]))
+        lo, hi = cgf.domain_inf, cgf.domain_sup
+        ts = [lo, hi, 0.0, -0.0] + [min(hi, max(lo, lo + u * (hi - lo))) for u in interior]
+        for t in ts:
+            expected = oracles.empirical_tilted_reference(sample, t)
+            for fn, want in zip((cgf.lambda_fn, cgf.lambda_d1, cgf.lambda_d2), expected):
+                assert fn(t) == want, (fn.__name__, t)
+                got = fn(np.float64(t))
+                assert type(got) is float and got == want, (fn.__name__, t)
+
+    def test_one_sample_sized_array_per_evaluation(self):
+        size = 100_000
+        cgf = empirical_cgf(RNG.standard_normal(size), t_grid=(-2.0, 2.0))
+        array_bytes = 8 * size
+        calls = [
+            (cgf.lambda_fn, 0.7, 1.25),
+            (cgf.lambda_fn, -0.4, 1.25),
+            (cgf.lambda_d1, 0.7, 1.25),
+            (cgf.lambda_d1, -0.4, 1.25),
+            (cgf.lambda_d2, 0.7, 2.25),
+            (cgf.lambda_d2, -0.4, 2.25),
+            (cgf.lambda_d2, 0.0, 0.01),
+        ]
+        for fn, t, arrays in calls:
+            tracemalloc.start()
+            try:
+                fn(t)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= arrays * array_bytes, (fn.__name__, t, peak / array_bytes)
+
+    def test_threads_get_the_serial_results(self):
+        # more threads than cores, each walking the domain its own way; a
+        # buffer shared between evaluations would mix their weights
+        cgf = empirical_cgf(RNG.gamma(2.0, size=100_000), t_grid=(-1.0, 1.0))
+        fns = (cgf.lambda_fn, cgf.lambda_d1, cgf.lambda_d2)
+        plans = [
+            [(fns[(i + j) % 3], t) for j, t in enumerate(np.linspace(-0.9, 0.9, 25 + i))]
+            for i in range(4)
+        ]
+        serial = [[fn(t) for fn, t in plan] for plan in plans]
+        results = [None] * len(plans)
+        start = threading.Barrier(len(plans))
+
+        def evaluate(i):
+            start.wait(timeout=60)
+            results[i] = [fn(t) for fn, t in plans[i]]
+
+        threads = [threading.Thread(target=evaluate, args=(i,)) for i in range(len(plans))]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == serial
 
 
 class TestUniformCgfTypoGuard:
