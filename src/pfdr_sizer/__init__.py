@@ -8,9 +8,10 @@ clear, evaluates the ratio for standard statistics (one-sample t, F, general
 and score-based Studentized means), finds the minimum sample size at which
 it is cleared, and checks the resulting plans by direct Monte Carlo.
 
-Importing the package loads neither numpy nor scipy: each kernel that uses
-them imports them when it runs, so the planners that need only math (and a
-CLI process that runs one) never pay for loading them.
+The package needs numpy at run time and never imports scipy.  Importing it
+loads no numpy: each kernel that uses numpy imports it when it runs, so the
+planners that need only math (and a CLI process that runs one) never pay
+for loading it.
 """
 
 __version__ = "0.1.0"

@@ -21,7 +21,8 @@ families draw all n + 2m raw observations, in row chunks of a fixed number
 of cells that are reduced to per-statistic means and scales at once, so a
 block's memory grows with its statistics, not with n + 2m.  A block whose
 raw draws would pass ldp_engine.MAX_DRAW_CELLS is refused with ValueError;
-the cap bounds the work of one block.
+the cap bounds the work of one block.  simulate_pfdr refuses a batch_nulls
+above the same cap before it draws anything.
 
 Streams are counter-based and keyed by (seed, block index), so results are
 bit-identical across repeat runs and across thread counts; the thread pool
@@ -38,7 +39,14 @@ from typing import TYPE_CHECKING, Callable, Iterable
 if TYPE_CHECKING:
     import numpy as np
 
-from .ldp_engine import FAMILIES, SCORE_FAMILIES, SHIFT_FAMILIES, CgfModel, legendre
+from .ldp_engine import (
+    FAMILIES,
+    MAX_DRAW_CELLS,
+    SCORE_FAMILIES,
+    SHIFT_FAMILIES,
+    CgfModel,
+    legendre,
+)
 
 __all__ = [
     "ThresholdSchedule",
@@ -228,6 +236,13 @@ def simulate_pfdr(
 
     if batch_nulls < 1:
         raise ValueError(f"batch_nulls must be >= 1, got {batch_nulls!r}")
+    # every batch draws at least batch_nulls numbers at once, and the normal
+    # samplers never reach the per-block cell check
+    if batch_nulls > MAX_DRAW_CELLS:
+        raise ValueError(
+            f"batch_nulls = {batch_nulls!r} exceeds MAX_DRAW_CELLS = "
+            f"{MAX_DRAW_CELLS} draws per batch"
+        )
     z = scenario.schedule.z_at(scenario.n + scenario.m)
     family = FAMILIES[scenario.family]
     params = family.kwargs(scenario.params)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:
     import numpy as np
@@ -51,7 +51,7 @@ __all__ = [
 REGIME_T_RATE = "t-snr-rate"
 REGIME_T_MIXTURE = "t-mixture-mgf"
 
-# atom budget for density discretization: enough for smooth priors, small
+# atom budget of a mixture: enough for a discretized smooth prior, small
 # enough that a curve search stays interactive
 MAX_MIXTURE_ATOMS = 512
 
@@ -100,42 +100,6 @@ class SnrMixture:
             total += w
         if abs(total - 1.0) > 1e-12 * len(self.atoms):
             raise ValueError(f"atom weights must sum to 1, got {total!r}")
-
-    @classmethod
-    def from_density(
-        cls,
-        pdf: Callable[[float], float],
-        support: tuple[float, float],
-        scale: float = 1.0,
-    ) -> "SnrMixture":
-        """Discretize a density on a positive interval by Gauss-Legendre nodes.
-
-        It uses MAX_MIXTURE_ATOMS nodes.  The stated support must carry all
-        but 1e-10 of the density's mass; otherwise the truncation would
-        silently bias the plan, so it is an error.  Weights are renormalized
-        to sum to one exactly.
-        """
-        import numpy as np
-
-        lo, hi = support
-        if not 0.0 < lo < hi:
-            raise ValueError(f"support must satisfy 0 < lo < hi, got {support!r}")
-        nodes, gl_weights = np.polynomial.legendre.leggauss(MAX_MIXTURE_ATOMS)
-        half = 0.5 * (hi - lo)
-        xs = lo + half * (nodes + 1.0)
-        ws = half * gl_weights * np.array([float(pdf(float(x))) for x in xs])
-        if np.any(ws < 0.0):
-            raise ValueError("density returned a negative value")
-        mass = float(ws.sum())
-        if abs(mass - 1.0) > 1e-10:
-            raise ValueError(
-                f"support {support!r} captures mass {mass:.12g}, not within "
-                "1e-10 of 1; widen the support or check the density"
-            )
-        atoms = tuple(
-            (float(x), float(w) / mass) for x, w in zip(xs, ws) if w > 0.0
-        )
-        return cls(atoms=atoms, scale=scale)
 
 
 def _log_terms_t(n: int, log_sqrt2_d: float) -> Iterator[float]:

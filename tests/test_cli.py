@@ -1,15 +1,19 @@
+import ast
 import csv
 import io
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pfdr_sizer import mc_verify
 from pfdr_sizer.cli import _flatten, _to_json, main, parse_config
 
 PLAN_F_ARGS = [
@@ -429,6 +433,22 @@ class TestUsageErrors:
         assert out == ""
         assert "MAX_DRAW_CELLS" in err
 
+    def test_batch_nulls_above_cap(self, capsys, monkeypatch):
+        def no_draws(seed, block):
+            raise AssertionError("simulate drew before checking batch_nulls")
+
+        monkeypatch.setattr(mc_verify, "_rng_for", no_draws)
+        code, out, err = _run(
+            capsys,
+            [
+                "simulate", "--family", "normal", "--n", "5", "--m", "5",
+                "--trials", "2", "--z0", "0.5", "--batch-nulls", "10000000000",
+            ],
+        )
+        assert code == 2
+        assert out == ""
+        assert "batch_nulls = 10000000000 exceeds MAX_DRAW_CELLS" in err
+
     @pytest.mark.parametrize(
         "argv,name",
         [
@@ -592,9 +612,10 @@ class TestEntryPoint:
         assert '"n_asymptotic": 15' in proc.stdout
 
 
-# fresh CLI processes, one or more per subcommand, that must import no scipy
-# module at all, with whether they load numpy: only simulate and the F and
-# mixture series need it, the rest run on math alone
+# fresh CLI processes, one or more per subcommand, with whether they load
+# numpy: only simulate and the F and mixture series need it, the rest run on
+# math alone.  The library imports no scipy (TestScipyFree reads its source),
+# so these also show that no other package a command loads pulls scipy in
 SCIPY_FREE = {
     "plan-t": (0, False, ["plan-t", "--alpha", "0.05", "--pi", "0.1", "--snr", "0.01"]),
     "plan-t-not-attainable": (1, False, [
@@ -692,3 +713,37 @@ class TestColdImports:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+
+class TestScipyFree:
+    # scipy is a test-only dependency: the tests and the benchmark oracle use
+    # it as an independent reference, the library never imports it
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def test_library_source_imports_no_scipy(self):
+        sources = sorted((self.ROOT / "src" / "pfdr_sizer").glob("*.py"))
+        assert sources
+        found = []
+        for path in sources:
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    modules = [node.module]
+                else:
+                    continue
+                found += [
+                    f"{path.name}:{node.lineno}"
+                    for module in modules
+                    if module.split(".")[0] == "scipy"
+                ]
+        assert found == []
+
+    def test_scipy_is_not_a_runtime_dependency(self):
+        tomllib = pytest.importorskip("tomllib")
+        project = tomllib.loads((self.ROOT / "pyproject.toml").read_text())["project"]
+        runtime = [
+            re.match(r"[\w.-]+", dep).group().lower() for dep in project["dependencies"]
+        ]
+        assert "numpy" in runtime
+        assert "scipy" not in runtime

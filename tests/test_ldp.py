@@ -1,5 +1,6 @@
 import inspect
 import math
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -7,7 +8,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -344,6 +345,52 @@ class TestKf:
     def test_non_integrable_density_raises(self):
         with pytest.raises(QuadratureError):
             k_f(lambda z: 1.0)
+
+    @given(shift=st.floats(-3.0, 3.0), scale=st.floats(0.1, 100.0))
+    @example(shift=0.4066469470208034, scale=1.2017409996023218)
+    def test_shifted_scaled_gamma_score(self, shift, scale):
+        # z -> scale z + shift maps K_f = 1 - ln 2 to scale (1 - ln 2) + shift.
+        # That crosses 0 at shift = -scale (1 - ln 2), while the rounding of
+        # the two integrals stays of order scale, so the bound is relative to
+        # the larger of the two
+        got = k_f(lambda z: gamma_score_density((z - shift) / scale) / scale)
+        want = scale * (1.0 - math.log(2.0)) + shift
+        assert abs(got - want) <= 1e-13 * max(abs(want), scale)
+
+    @pytest.mark.parametrize("failure", ["raises", "nan"])
+    def test_density_failing_at_a_node_raises(self, failure):
+        def density(z):
+            if z < 2.0:
+                return gamma_score_density(z)
+            if failure == "raises":
+                raise ValueError("outside the model")
+            return math.nan
+
+        with pytest.raises(QuadratureError):
+            k_f(density)
+
+    def test_heavy_tail_is_refused_not_cut(self):
+        # f(z) = (1 + z^2)^(-(1 + a) / 2) (1 + tanh z) / 2 has z f^2 ~ z^(-1 - 2a)
+        # on the right; 30-digit mpmath gives K_f = 4.591513587243097 at
+        # a = 0.1 and 8.716457611724502 at a = 0.05, where cutting the line at
+        # the nodes' reach of |z| ~ 1.4e83 would return a value 4e-9 low
+        def density(a):
+            return lambda z: (1.0 + z * z) ** (-0.5 - 0.5 * a) * 0.5 * (1.0 + math.tanh(z))
+
+        assert k_f(density(0.1)) == pytest.approx(4.591513587243097, rel=1e-14)
+        with pytest.raises(QuadratureError, match="tails not negligible"):
+            k_f(density(0.05))
+
+    def test_loads_no_scipy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from pfdr_sizer.ldp_engine import k_f, gamma_score_density; "
+             "k_f(gamma_score_density); "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_score_models_carry_their_k_f(self):
         assert SCORES["normal-score"].k_f == 0.0

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import oracles
+from pfdr_sizer import mc_verify
 from pfdr_sizer.ldp_engine import (
     _CHUNK_CELLS,
     FAMILIES,
@@ -421,6 +422,20 @@ class TestMemoryGuard:
         )
         with pytest.raises(ValueError, match=f"MAX_DRAW_CELLS = {MAX_DRAW_CELLS}"):
             tail_ratio_mc(scenario, t_target=2000.0)
+
+    def test_batch_nulls_above_cap_is_refused_before_any_draw(self, monkeypatch):
+        # the normal samplers never reach the per-block check, and each batch
+        # draws its theta flags first, so batch_nulls is checked up front
+        def no_draws(seed, block):
+            raise AssertionError("simulate_pfdr drew before checking batch_nulls")
+
+        monkeypatch.setattr(mc_verify, "_rng_for", no_draws)
+        scenario = SimScenario(
+            family="normal", effect=0.0, pi=0.5, n=5, m=5,
+            schedule=_fixed(0.4), trials=2, seed=1,
+        )
+        with pytest.raises(ValueError, match="batch_nulls = 134217729 exceeds"):
+            simulate_pfdr(scenario, batch_nulls=MAX_DRAW_CELLS + 1)
 
     def test_sufficient_statistics_skip_the_cap(self):
         # z sqrt(n) = 2 and, with d = T / (n + m), noncentrality d sqrt(n) = 1

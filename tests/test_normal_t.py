@@ -138,10 +138,13 @@ class TestMixture:
         assert report.notes  # convention note travels with the report
 
     def test_gamma_prior_matches_its_moment_transform(self):
-        # effects drawn from Gamma(shape 2, scale 1/2), discretized; at
+        # effects drawn from Gamma(shape 2, scale 1/2), discretized on
+        # Gauss-Laguerre nodes: with R = u / 2 the prior is u e^-u du, so
+        # atom i sits at u_i / 2 with weight w_i u_i (which sum to 1); at
         # n * scale = 1 the mixture curve approaches E exp(R) = 4
-        pdf = lambda x: 4.0 * x * math.exp(-2.0 * x)
-        mix = SnrMixture.from_density(pdf, (1e-8, 30.0), scale=1e-3)
+        u, w = np.polynomial.laguerre.laggauss(40)
+        mass = w * u / (w * u).sum()
+        mix = SnrMixture(tuple(zip(u / 2.0, mass)), scale=1e-3)
         got = lr_sup_t_mixture(1000, mix)
         assert got == pytest.approx(4.0, rel=0.02)
 
@@ -165,11 +168,6 @@ class TestMixture:
         assert info.value.q_value == 1.0000000000000002
         assert "reaches only 1.0 at n_max=10000000," in str(info.value)
         assert str(info.value).endswith("the required Q=1.0000000000000002")
-
-    def test_from_density_requires_full_mass(self):
-        pdf = lambda x: 4.0 * x * math.exp(-2.0 * x)
-        with pytest.raises(ValueError):
-            SnrMixture.from_density(pdf, (0.5, 2.0))
 
     def test_atom_budget(self):
         k = MAX_MIXTURE_ATOMS + 1
