@@ -414,15 +414,18 @@ def gamma_score_density(x: float) -> float:
 # N(0, sigma^2 / n), and independently m S^2 / sigma^2 is chi-square with m
 # degrees of freedom, since each pair difference is N(0, 2 sigma^2).  Gamma
 # draws its mean as one Gamma(n * shape), the law of a sum of n
-# Gamma(shape) draws.  The other samplers draw raw observations in row
-# chunks of about _CHUNK_CELLS cells and keep only each row's statistics,
-# so a block holds O(size) memory whatever n and m are.  All mean chunks
-# are drawn before all scale chunks; numpy fills arrays row-major, so
-# uniform, gamma and cauchy-score consume the stream exactly as one
-# (size, n) and one (size, 2m) draw would.  Gamma-score draws each chunk's
-# exponentials and then its gammas.
+# Gamma(shape) draws.  Uniform draws each pair's gap |Y1 - Y2| directly,
+# by inversion of its law, and cauchy-score draws its observations by
+# inversion too.  Every raw draw (gamma's scale pairs included) comes in
+# row chunks of about _CHUNK_CELLS cells that keep only each row's
+# statistics, so a block holds O(size) memory whatever n and m are.  All mean chunks are
+# drawn before all scale chunks; numpy fills arrays row-major, so gamma and
+# cauchy-score consume the stream exactly as one (size, n) and one
+# (size, 2m) draw would, and uniform as one (size, n) and one (size, m)
+# draw of uniforms.  Gamma-score draws each chunk's exponentials and then
+# its gammas.
 
-# cap on the raw draws of one block, size * (n or 2m); chunking keeps a
+# cap on the raw draws of one block, size * (n, m or 2m); chunking keeps a
 # block's memory small, so the cap bounds the work (time) of one block
 MAX_DRAW_CELLS = 2**27
 
@@ -456,12 +459,37 @@ def _row_mean(obs: np.ndarray) -> np.ndarray:
     return obs.mean(axis=1)
 
 
-def _pair_scale(obs: np.ndarray) -> np.ndarray:
-    # S = sqrt((1/2m) sum over pairs of squared differences)
+def _gap_scale(d: np.ndarray) -> np.ndarray:
+    # S = sqrt((1/2m) sum over the m pairs of squared differences d)
     import numpy as np
 
-    d = obs[:, 0::2] - obs[:, 1::2]
     return np.sqrt(0.5 * np.mean(d * d, axis=1))
+
+
+def _pair_scale(obs: np.ndarray) -> np.ndarray:
+    return _gap_scale(obs[:, 0::2] - obs[:, 1::2])
+
+
+def _standard_cauchy(rng, shape) -> np.ndarray:
+    # the Cauchy law by inversion, tan(pi (U - 1/2)); U = 0 gives -1.6e16,
+    # not -inf
+    import numpy as np
+
+    u = rng.random(shape)
+    u -= 0.5
+    u *= math.pi
+    return np.tan(u, out=u)
+
+
+def _uniform_gap(rng, shape) -> np.ndarray:
+    # |U1 - U2| of two standard uniforms by inversion: its density is
+    # 2 (1 - x) on [0, 1], its distribution 1 - (1 - x)^2, and 1 - U is
+    # uniform, so one uniform U gives the gap as 1 - sqrt(U)
+    import numpy as np
+
+    u = rng.random(shape)
+    np.sqrt(u, out=u)
+    return np.subtract(1.0, u, out=u)
 
 
 def _sample_normal(rng, size, n, m, effect, sigma):
@@ -473,9 +501,9 @@ def _sample_normal(rng, size, n, m, effect, sigma):
 
 
 def _sample_uniform(rng, size, n, m, effect, width):
-    _check_cells(size, max(n, 2 * m))
+    _check_cells(size, max(n, m))
     xbar0 = width * _by_chunks(size, n, lambda k: _row_mean(rng.random((k, n)) - 0.5))
-    s0 = width * _by_chunks(size, 2 * m, lambda k: _pair_scale(rng.random((k, 2 * m))))
+    s0 = width * _by_chunks(size, m, lambda k: _gap_scale(_uniform_gap(rng, (k, m))))
     return xbar0, s0, xbar0 + effect, s0
 
 
@@ -521,7 +549,7 @@ def _sample_cauchy_score(rng, size, n, m, effect):
     _check_cells(size, max(n, 2 * m))
 
     def scores(k, columns):
-        w = rng.standard_cauchy((k, columns))
+        w = _standard_cauchy(rng, (k, columns))
         return _cauchy_score(w), _cauchy_score(w + effect)
 
     return _score_stats(size, n, m, scores)

@@ -16,17 +16,21 @@ Each family's sampler comes from ldp_engine.FAMILIES.  The normal families
 draw the two statistics from their exact laws, xbar ~ N(0, sigma^2 / n) and
 m S^2 / sigma^2 ~ chi^2_m, so a null costs two draws whatever n and m are;
 gamma draws its mean as one Gamma(n * shape), the law of a sum of n
-Gamma(shape) draws, and its scale from 2m raw observations.  The other
-families draw all n + 2m raw observations, in row chunks of a fixed number
-of cells that are reduced to per-statistic means and scales at once, so a
+Gamma(shape) draws, and its scale from 2m raw observations.  Uniform
+draws n observations and each pair's gap |Y1 - Y2| as one uniform by
+inversion, n + m draws in all; cauchy-score and gamma-score draw all
+n + 2m raw observations.  Raw draws come in row chunks of a fixed number of
+cells that are reduced to per-statistic means and scales at once, so a
 block's memory grows with its statistics, not with n + 2m.  A block whose
 raw draws would pass ldp_engine.MAX_DRAW_CELLS is refused with ValueError;
 the cap bounds the work of one block.  simulate_pfdr refuses a batch_nulls
 above the same cap before it draws anything.
 
-Streams are counter-based and keyed by (seed, block index), so results are
-bit-identical across repeat runs and across thread counts; the thread pool
-size comes from the PFDR_SIZER_THREADS environment variable.
+Block b draws from an SFC64 generator seeded by child b of
+SeedSequence(seed), so blocks have independent streams keyed by (seed, b)
+and results are bit-identical across repeat runs and across thread counts;
+the thread pool size comes from the PFDR_SIZER_THREADS environment
+variable.
 """
 
 from __future__ import annotations
@@ -115,8 +119,8 @@ class ThresholdSchedule:
     def __post_init__(self) -> None:
         if self.kind not in ("fixed", "loglog"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if not self.z0 > 0.0:
-            raise ValueError(f"z0 must be positive, got {self.z0!r}")
+        if not 0.0 < self.z0 < math.inf:
+            raise ValueError(f"z0 must be positive and finite, got {self.z0!r}")
 
     def z_at(self, n_total: int) -> float:
         if self.kind == "fixed":
@@ -150,8 +154,8 @@ class SimScenario:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if not self.effect >= 0.0:
-            raise ValueError(f"effect must be >= 0, got {self.effect!r}")
+        if not 0.0 <= self.effect < math.inf:
+            raise ValueError(f"effect must be >= 0 and finite, got {self.effect!r}")
         if not 0.0 <= self.pi <= 1.0:
             raise ValueError(f"pi must be in [0, 1], got {self.pi!r}")
         if self.n < 1 or self.m < 1:
@@ -188,10 +192,12 @@ class TailRatioResult:
 
 
 def _rng_for(seed: int, block: int) -> np.random.Generator:
+    # the stream of SeedSequence(seed).spawn(block + 1)[block], numpy's route
+    # to independent streams; any seed >= 0 is accepted, however large
     import numpy as np
 
-    key = np.array([seed, block], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    seq = np.random.SeedSequence(seed, spawn_key=(block,))
+    return np.random.Generator(np.random.SFC64(seq))
 
 
 def _thread_count() -> int:
@@ -295,8 +301,11 @@ def tail_ratio_mc(
     """
     import numpy as np
 
-    if not t_target >= 0.0:
-        raise ValueError(f"t_target must be >= 0, got {t_target!r}")
+    if not 0.0 <= t_target < math.inf:
+        raise ValueError(f"t_target must be >= 0 and finite, got {t_target!r}")
+    # the ratio divides by hits_den, which min_hits keeps above 0
+    if min_hits < 1:
+        raise ValueError(f"min_hits must be >= 1, got {min_hits!r}")
     n_total = scenario.n + scenario.m
     d = t_target / n_total
     z = scenario.schedule.z_at(n_total)

@@ -450,6 +450,27 @@ class TestUsageErrors:
         assert "batch_nulls = 10000000000 exceeds MAX_DRAW_CELLS" in err
 
     @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (["--family", "cauchy-score", "--effect", "inf", "--z0", "1"],
+             "effect must be >= 0 and finite"),
+            (["--family", "normal", "--z0", "inf"], "z0 must be positive and finite"),
+            (["--family", "normal", "--z0", "1", "--estimand", "tail-ratio",
+              "--t-target", "inf"], "t_target must be >= 0 and finite"),
+            # z0 = 50 gives no hits, so min-hits 0 would divide by zero
+            (["--family", "normal", "--z0", "50", "--estimand", "tail-ratio",
+              "--t-target", "1", "--min-hits", "0"], "min_hits must be >= 1"),
+        ],
+    )
+    def test_simulation_inputs(self, capsys, extra, message):
+        code, out, err = _run(
+            capsys, ["simulate", "--n", "5", "--m", "5", "--trials", "3", *extra]
+        )
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize(
         "argv,name",
         [
             (["plan-t", "--snr", "inf"], "signal-to-noise ratio"),

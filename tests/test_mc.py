@@ -15,6 +15,8 @@ from pfdr_sizer.ldp_engine import (
     FAMILIES,
     MAX_DRAW_CELLS,
     SplitSpec,
+    _standard_cauchy,
+    _uniform_gap,
     make_family,
     solve_t0,
 )
@@ -54,6 +56,9 @@ class TestThresholdSchedule:
             ThresholdSchedule(kind="linear", z0=1.0)
         with pytest.raises(ValueError):
             ThresholdSchedule(kind="fixed", z0=0.0)
+        for z0 in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="z0 must be positive and finite"):
+                ThresholdSchedule(kind="fixed", z0=z0)
 
 
 class TestScenarioValidation:
@@ -76,7 +81,8 @@ class TestScenarioValidation:
     @pytest.mark.parametrize(
         "field,value",
         [("trials", 0), ("pi", 1.5), ("pi", -0.1), ("n", 0), ("m", 0),
-         ("seed", -1), ("effect", -0.5)],
+         ("seed", -1), ("effect", -0.5), ("effect", math.inf),
+         ("effect", math.nan)],
     )
     def test_bad_numbers(self, field, value):
         kwargs = dict(
@@ -84,7 +90,7 @@ class TestScenarioValidation:
             schedule=_fixed(1.0), trials=10, seed=0,
         )
         kwargs[field] = value
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=field):
             SimScenario(**kwargs)
 
 
@@ -120,6 +126,13 @@ class TestDeterminism:
         b = simulate_pfdr(self._scenario(seed=12), batch_nulls=500)
         assert a.pfdr_hat != b.pfdr_hat
 
+    def test_seeds_past_64_bits(self):
+        # a SeedSequence takes any seed >= 0; 2^64 and 2^64 + 1 agree in
+        # their low 64 bits, so a key truncated to uint64 would tie them
+        a = simulate_pfdr(self._scenario(seed=2**64), batch_nulls=500)
+        b = simulate_pfdr(self._scenario(seed=2**64 + 1), batch_nulls=500)
+        assert a.pfdr_hat != b.pfdr_hat
+
     def test_invalid_thread_env(self):
         old = os.environ.get(THREADS_ENV_VAR)
         os.environ[THREADS_ENV_VAR] = "many"
@@ -136,19 +149,17 @@ class TestDeterminism:
 # Exact counts at seed 2027 for every family: ((hits_num, hits_den,
 # hits_joint) of tail_ratio_mc, (rejections, false_rejections) of
 # simulate_pfdr).  They pin the random-stream layout, so any change to it has
-# to be made on purpose.  normal, normal-score and gamma were re-pinned when
-# their samplers moved to drawing sufficient statistics.  gamma-score was
-# re-pinned when its raw draws moved to row chunks that each draw their
-# exponentials and then their gammas (tail counts were (8041, 3452, 3356));
-# its simulate_pfdr blocks fit in one chunk, so those counts held.  uniform
-# and cauchy-score still hold the counts recorded before the family registry.
+# to be made on purpose.  All six were re-pinned when block b moved from a
+# Philox stream keyed by (seed, b) to SFC64 on child b of SeedSequence(seed),
+# cauchy-score to drawing tan(pi (U - 1/2)) and uniform to drawing each
+# pair's gap as 1 - sqrt(U).
 PINNED_COUNTS = {
-    "normal": ((6211, 3073, 3073), (1809, 1066)),
-    "uniform": ((9078, 3108, 3108), (2178, 1051)),
-    "gamma": ((7724, 3308, 3308), (2022, 1086)),
-    "normal-score": ((5028, 3073, 3073), (1624, 1066)),
-    "cauchy-score": ((5297, 3091, 2953), (1587, 1018)),
-    "gamma-score": ((8058, 3432, 3348), (2061, 1109)),
+    "normal": ((6373, 3156, 3156), (1811, 1014)),
+    "uniform": ((8986, 3065, 3065), (2155, 999)),
+    "gamma": ((7709, 3360, 3360), (2031, 1044)),
+    "normal-score": ((5125, 3156, 3156), (1601, 1014)),
+    "cauchy-score": ((5232, 3134, 3000), (1640, 1011)),
+    "gamma-score": ((8139, 3431, 3354), (2033, 1115)),
 }
 PINNED_PARAMS = {
     "normal": {},
@@ -183,23 +194,31 @@ class TestStreamLayout:
         )
         assert counts == PINNED_COUNTS[family]
 
+    def test_block_stream_is_a_spawned_child(self):
+        for seed, block in [(2027, 0), (2027, 5), (2**70, 3)]:
+            got = mc_verify._rng_for(seed, block).random(4)
+            assert np.array_equal(got, _stream(seed, block).random(4))
 
-def _philox(seed):
-    key = np.array([seed, 0], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+
+def _stream(seed, block=0):
+    # block b's stream: an SFC64 generator on child b of SeedSequence(seed)
+    child = np.random.SeedSequence(seed).spawn(block + 1)[block]
+    return np.random.Generator(np.random.SFC64(child))
 
 
 def _whole_block(family, rng, size, n, m, effect, **params):
-    """The raw-draw samplers as one (size, n) and one (size, 2m) draw."""
+    """The raw-draw samplers as one (size, n) and one (size, m or 2m) draw."""
+
+    def gap_scale(d):
+        return np.sqrt(0.5 * np.mean(d * d, axis=1))
 
     def pair_scale(obs):
-        d = obs[:, 0::2] - obs[:, 1::2]
-        return np.sqrt(0.5 * np.mean(d * d, axis=1))
+        return gap_scale(obs[:, 0::2] - obs[:, 1::2])
 
     if family == "uniform":
         width = params["width"]
         xbar0 = width * (rng.random((size, n)) - 0.5).mean(axis=1)
-        s0 = width * pair_scale(rng.random((size, 2 * m)))
+        s0 = width * gap_scale(1.0 - np.sqrt(rng.random((size, m))))
         return xbar0, s0, xbar0 + effect, s0
     if family == "gamma":
         shape, scale = params["shape"], params["scale"]
@@ -210,9 +229,12 @@ def _whole_block(family, rng, size, n, m, effect, **params):
     def score(w):
         return 2.0 * w / (1.0 + w * w)
 
-    w = rng.standard_cauchy((size, n))
+    def cauchy(shape):
+        return np.tan(np.pi * (rng.random(shape) - 0.5))
+
+    w = cauchy((size, n))
     xbar0, xbar1 = score(w).mean(axis=1), score(w + effect).mean(axis=1)
-    w2 = rng.standard_cauchy((size, 2 * m))
+    w2 = cauchy((size, 2 * m))
     return xbar0, pair_scale(score(w2)), xbar1, pair_scale(score(w2 + effect))
 
 
@@ -248,12 +270,26 @@ class TestRowChunks:
     @example(family="gamma", size=5, n=3, m=_CHUNK_CELLS // 2, effect=0.1, seed=7)
     def test_chunks_match_one_whole_block(self, family, size, n, m, effect, seed):
         params = CHUNK_PARAMS.get(family, {})
-        chunked, whole = _philox(seed), _philox(seed)
+        chunked, whole = _stream(seed), _stream(seed)
         got = FAMILIES[family].sample(chunked, size, n, m, effect, **params)
         want = _whole_block(family, whole, size, n, m, effect, **params)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
         assert chunked.random() == whole.random()
+
+
+class TestInversionDraws:
+    # fixed-seed KS checks, on 2e5 draws each, of the laws drawn by inversion
+    def test_cauchy(self):
+        w = _standard_cauchy(_stream(41), 200_000)
+        assert stats.kstest(w, stats.cauchy.cdf).pvalue > 1e-3
+
+    def test_uniform_pair_gap(self):
+        gap = _uniform_gap(_stream(42), 200_000)
+        u = _stream(43).random((2, 200_000))
+        assert stats.ks_2samp(gap, np.abs(u[0] - u[1])).pvalue > 1e-3
+        # density 2 (1 - x) on [0, 1]
+        assert stats.kstest(gap, stats.triang(0.0).cdf).pvalue > 1e-3
 
 
 class TestBlockMemory:
@@ -266,7 +302,7 @@ class TestBlockMemory:
     )
     def test_block_peak_stays_small(self, family, nm):
         params = CHUNK_PARAMS.get(family, {})
-        rng = _philox(1)
+        rng = _stream(1)
         tracemalloc.start()
         try:
             FAMILIES[family].sample(rng, 16_384, nm, nm, 1.0, **params)
@@ -340,6 +376,20 @@ class TestTailRatio:
             tail_ratio_mc(scenario, t_target=1.0)
         assert exc.value.trials == 2_000
         assert exc.value.hits_den < 100
+
+    @pytest.mark.parametrize(
+        "t_target,min_hits,name",
+        [(math.inf, 100, "t_target"), (math.nan, 100, "t_target"),
+         (-1.0, 100, "t_target"), (1.0, 0, "min_hits"), (1.0, -3, "min_hits")],
+    )
+    def test_domain(self, t_target, min_hits, name):
+        # at z0 = 50 no trial hits, so min_hits = 0 would divide by hits_den = 0
+        scenario = SimScenario(
+            family="normal", effect=0.0, pi=0.5, n=5, m=5,
+            schedule=_fixed(50.0), trials=3, seed=5,
+        )
+        with pytest.raises(ValueError, match=name):
+            tail_ratio_mc(scenario, t_target=t_target, min_hits=min_hits)
 
     def test_runs_for_every_family(self):
         for family in SHIFT_FAMILIES + SCORE_FAMILIES:
