@@ -30,7 +30,7 @@ uniform, and centered gamma data plus normal, Cauchy, and Gumbel-type
 
 FAMILIES declares each built-in family once: its name, whether it is a shift
 or a score family, its parameters with their defaults, its model constructor
-and the sampler the Monte Carlo engine draws its statistics from.  The
+and the sampler the Monte Carlo engine counts its rejections with.  The
 planners, the CLI and mc_verify all read their families from it.
 """
 
@@ -404,26 +404,32 @@ def gamma_score_density(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo samplers: sample(rng, size, n, m, effect, **params) draws size
-# statistics and returns (xbar0, s0, xbar1, s1).  The 0-parts are under the
-# true null, the 1-parts are the same underlying draws with the effect
-# applied (common random numbers).  For shift families s1 is s0 itself:
-# pair differences cancel a mean shift.
+# Monte Carlo rejections: hits(rng, size, n, m, effect, z, side, **params)
+# draws size statistics and returns the boolean indicators (hit0, hit1) of
+# the rule xbar >= z S, z > 0.  The 0-side is under the true null, the
+# 1-side the same underlying draws with the effect applied (common random
+# numbers).  side, when not None, is a boolean per statistic that picks the
+# one side the caller counts: hit0 is then False where side is True and
+# hit1 False where it is False.  Shift families share one scale between the
+# sides: pair differences cancel a mean shift.
 #
 # The normal families draw the statistics from their exact laws: xbar is
 # N(0, sigma^2 / n), and independently m S^2 / sigma^2 is chi-square with m
-# degrees of freedom, since each pair difference is N(0, 2 sigma^2).  Gamma
-# draws its mean as one Gamma(n * shape), the law of a sum of n
-# Gamma(shape) draws.  Uniform draws each pair's gap |Y1 - Y2| directly,
-# by inversion of its law, and cauchy-score draws its observations by
-# inversion too.  Every raw draw (gamma's scale pairs included) comes in
-# row chunks of about _CHUNK_CELLS cells that keep only each row's
-# statistics, so a block holds O(size) memory whatever n and m are.  All mean chunks are
-# drawn before all scale chunks; numpy fills arrays row-major, so gamma and
-# cauchy-score consume the stream exactly as one (size, n) and one
-# (size, 2m) draw would, and uniform as one (size, n) and one (size, m)
-# draw of uniforms.  Gamma-score draws each chunk's exponentials and then
-# its gammas.
+# degrees of freedom, since each pair difference is N(0, 2 sigma^2).
+#
+# The other families draw every row's mean first, in row chunks of about
+# _CHUNK_CELLS cells; numpy fills arrays row-major, so the means consume the
+# stream exactly as one (size, n) draw would (gamma draws one Gamma(n shape)
+# per row, the law of a sum of n Gamma(shape) draws; gamma-score draws each
+# chunk's exponentials and then its gammas).  _staged_hits then draws the m
+# scale pairs by stages, only for the rows that can still reject.  Within a
+# stage the rows still in play go in chunks of at most _CHUNK_CELLS / 2 rows
+# and, within each, the pairs in chunks of at most _CHUNK_CELLS raw cells:
+# one (2p, k) draw holds p pairs of k rows, pair-major, a pair in two
+# consecutive rows.  Uniform draws each pair's gap |Y1 - Y2| directly, by
+# inversion of its law, one (p, k) draw; cauchy-score draws its
+# observations by inversion too.  A block thus holds O(size) memory
+# whatever n and m are.
 
 # cap on the raw draws of one block, size * (n, m or 2m); chunking keeps a
 # block's memory small, so the cap bounds the work (time) of one block
@@ -432,6 +438,10 @@ MAX_DRAW_CELLS = 2**27
 # cells per chunk of raw draws: 256 KiB per float64 array, so a chunk's
 # arrays stay in L2 cache
 _CHUNK_CELLS = 2**15
+
+# stage k ends with ceil(m / k) scale pairs drawn for every row still able
+# to reject
+_STAGES = (8, 4, 2, 1)
 
 
 def _check_cells(size: int, columns: int) -> None:
@@ -459,15 +469,75 @@ def _row_mean(obs: np.ndarray) -> np.ndarray:
     return obs.mean(axis=1)
 
 
-def _gap_scale(d: np.ndarray) -> np.ndarray:
-    # S = sqrt((1/2m) sum over the m pairs of squared differences d)
+def _squared_gaps(obs: np.ndarray) -> np.ndarray:
+    # (Y1 - Y2)^2 of the pairs held in consecutive rows of obs
+    d = obs[0::2] - obs[1::2]
+    d *= d
+    return d
+
+
+def _pick(hit0: np.ndarray, hit1: np.ndarray, side) -> tuple[np.ndarray, np.ndarray]:
+    if side is not None:
+        hit0 &= ~side
+        hit1 &= side
+    return hit0, hit1
+
+
+def _exact_hits(xbar0, xbar1, s, z, side):
+    bound = z * s
+    return _pick(xbar0 >= bound, xbar1 >= bound, side)
+
+
+def _staged_hits(xbar0, xbar1, gaps, m, z, side, shared):
+    """The rule's hits on row means xbar0, xbar1, its scale pairs drawn by stages.
+
+    gaps(rows, pairs) draws the next pairs squared pair gaps of each row in
+    the index array rows and returns them as (pairs, rows.size) arrays: one
+    when shared (both sides take the same scale), else the null's and the
+    shifted one.  Before each stage a row is dropped once every side it
+    serves (the side picked by side, else both) has xbar < z sqrt(partial /
+    2m): partial only grows and z > 0, so such a row cannot reject, and a
+    row that is kept to the end is decided on all m pairs.  Each row's
+    squared gaps are added in pair order, one pair at a time, so its total
+    does not depend on the stages or the chunks.
+    """
     import numpy as np
 
-    return np.sqrt(0.5 * np.mean(d * d, axis=1))
+    size = xbar0.size
+    rows, pick, xbars = np.arange(size), side, (xbar0, xbar1)
+    totals = [np.zeros(size) for _ in range(1 if shared else 2)]
 
+    def reach():
+        bounds = [z * np.sqrt(total / (2 * m)) for total in totals]
+        return xbars[0] >= bounds[0], xbars[1] >= bounds[-1]
 
-def _pair_scale(obs: np.ndarray) -> np.ndarray:
-    return _gap_scale(obs[:, 0::2] - obs[:, 1::2])
+    done = 0
+    for k in _STAGES:
+        pairs = -(-m // k) - done
+        if pairs == 0:
+            continue
+        hit0, hit1 = reach()
+        keep = np.flatnonzero(hit0 | hit1 if pick is None else np.where(pick, hit1, hit0))
+        rows, xbars = rows[keep], [x[keep] for x in xbars]
+        totals = [total[keep] for total in totals]
+        pick = None if pick is None else pick[keep]
+        if rows.size == 0:
+            break
+        # chunks of up to chunk_rows rows by chunk_pairs pairs
+        chunk_rows = min(rows.size, _CHUNK_CELLS // 2)
+        chunk_pairs = max(1, _CHUNK_CELLS // (2 * chunk_rows))
+        for start in range(0, rows.size, chunk_rows):
+            part = slice(start, start + chunk_rows)
+            for first in range(0, pairs, chunk_pairs):
+                drawn = gaps(rows[part], min(chunk_pairs, pairs - first))
+                for total, g in zip(totals, drawn):
+                    view = total[part]
+                    for pair in g:
+                        view += pair
+        done += pairs
+    out = np.zeros((2, size), bool)
+    out[:, rows] = reach()
+    return _pick(out[0], out[1], side)
 
 
 def _standard_cauchy(rng, shape) -> np.ndarray:
@@ -492,82 +562,101 @@ def _uniform_gap(rng, shape) -> np.ndarray:
     return np.subtract(1.0, u, out=u)
 
 
-def _sample_normal(rng, size, n, m, effect, sigma):
+def _hits_normal(rng, size, n, m, effect, z, side, sigma):
     import numpy as np
 
     xbar0 = sigma / math.sqrt(n) * rng.standard_normal(size)
     s0 = sigma * np.sqrt(rng.chisquare(m, size) / m)
-    return xbar0, s0, xbar0 + effect, s0
+    return _exact_hits(xbar0, xbar0 + effect, s0, z, side)
 
 
-def _sample_uniform(rng, size, n, m, effect, width):
+def _hits_uniform(rng, size, n, m, effect, z, side, width):
     _check_cells(size, max(n, m))
     xbar0 = width * _by_chunks(size, n, lambda k: _row_mean(rng.random((k, n)) - 0.5))
-    s0 = width * _by_chunks(size, m, lambda k: _gap_scale(_uniform_gap(rng, (k, m))))
-    return xbar0, s0, xbar0 + effect, s0
+
+    def gaps(rows, pairs):
+        d = _uniform_gap(rng, (pairs, rows.size))
+        d *= width
+        d *= d
+        return (d,)
+
+    return _staged_hits(xbar0, xbar0 + effect, gaps, m, z, side, shared=True)
 
 
-def _sample_gamma(rng, size, n, m, effect, shape, scale):
+def _hits_gamma(rng, size, n, m, effect, z, side, shape, scale):
     _check_cells(size, 2 * m)
     xbar0 = scale * (rng.standard_gamma(n * shape, size) / n - shape)
-    s0 = scale * _by_chunks(
-        size, 2 * m, lambda k: _pair_scale(rng.standard_gamma(shape, (k, 2 * m)))
-    )
-    return xbar0, s0, xbar0 + effect, s0
+
+    def gaps(rows, pairs):
+        return (_squared_gaps(scale * rng.standard_gamma(shape, (2 * pairs, rows.size))),)
+
+    return _staged_hits(xbar0, xbar0 + effect, gaps, m, z, side, shared=True)
 
 
-def _sample_normal_score(rng, size, n, m, effect, sigma):
+def _hits_normal_score(rng, size, n, m, effect, z, side, sigma):
     import numpy as np
 
     xbar0 = rng.standard_normal(size) / (sigma * math.sqrt(n))
     s0 = np.sqrt(rng.chisquare(m, size) / m) / sigma
-    return xbar0, s0, xbar0 + effect / (sigma * sigma), s0
+    return _exact_hits(xbar0, xbar0 + effect / (sigma * sigma), s0, z, side)
+
+
+def _score_hits(size, n, m, z, side, scores):
+    # scores(shape) draws observations of that shape and returns their null
+    # scores and, unless the effect is 0, their shifted scores
+    import numpy as np
+
+    xbars = _by_chunks(size, n, lambda k: np.stack([_row_mean(s) for s in scores((k, n))]))
+
+    def gaps(rows, pairs):
+        return tuple(_squared_gaps(s) for s in scores((2 * pairs, rows.size)))
+
+    shared = len(xbars) == 1
+    return _staged_hits(xbars[0], xbars[-1], gaps, m, z, side, shared)
 
 
 def _cauchy_score(w: np.ndarray) -> np.ndarray:
-    return 2.0 * w / (1.0 + w * w)
-
-
-def _score_stats(size, n, m, scores):
-    # scores(k, columns) draws k rows of columns observations and returns
-    # their null scores and their shifted scores
+    # 2 w / (1 + w^2) in one new array
     import numpy as np
 
-    def part(columns, reduce):
-        def chunk(k):
-            null, shifted = scores(k, columns)
-            return np.stack((reduce(null), reduce(shifted)))
-
-        return _by_chunks(size, columns, chunk)
-
-    xbar0, xbar1 = part(n, _row_mean)
-    s0, s1 = part(2 * m, _pair_scale)
-    return xbar0, s0, xbar1, s1
+    s = w * w
+    s += 1.0
+    np.divide(w, s, out=s)
+    s *= 2.0
+    return s
 
 
-def _sample_cauchy_score(rng, size, n, m, effect):
+def _hits_cauchy_score(rng, size, n, m, effect, z, side):
     _check_cells(size, max(n, 2 * m))
 
-    def scores(k, columns):
-        w = _standard_cauchy(rng, (k, columns))
-        return _cauchy_score(w), _cauchy_score(w + effect)
+    def scores(shape):
+        w = _standard_cauchy(rng, shape)
+        null = _cauchy_score(w)
+        return (null,) if effect == 0.0 else (null, _cauchy_score(w + effect))
 
-    return _score_stats(size, n, m, scores)
+    return _score_hits(size, n, m, z, side, scores)
 
 
-def _sample_gamma_score(rng, size, n, m, effect):
+def _hits_gamma_score(rng, size, n, m, effect, z, side):
     # unit-rate exponential data; a location shift of size theta adds an
     # independent Gamma(theta) by shape additivity
     import numpy as np
 
     _check_cells(size, max(n, 2 * m))
 
-    def scores(k, columns):
-        w = rng.standard_exponential((k, columns))
-        g = rng.standard_gamma(effect, (k, columns)) if effect > 0.0 else 0.0
-        return np.log(w) + EULER_GAMMA, np.log(w + g) + EULER_GAMMA
+    def scores(shape):
+        w = rng.standard_exponential(shape)
+        null = np.log(w)
+        null += EULER_GAMMA
+        if effect == 0.0:
+            return (null,)
+        shifted = rng.standard_gamma(effect, shape)
+        shifted += w
+        np.log(shifted, out=shifted)
+        shifted += EULER_GAMMA
+        return null, shifted
 
-    return _score_stats(size, n, m, scores)
+    return _score_hits(size, n, m, z, side, scores)
 
 
 # ---------------------------------------------------------------------------
@@ -582,14 +671,14 @@ class Family:
     (CgfModel, TailIndex)); kind "score" is a location score whose
     underlying observation moves by the effect (model returns a
     ScoreModel).  params maps each parameter to its default, None marking a
-    required one; model and sample take exactly these as keywords.
+    required one; model and hits take exactly these as keywords.
     """
 
     name: str
     kind: str
     params: dict[str, float | None]
     model: Callable[..., Any]
-    sample: Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+    hits: Callable[..., tuple[np.ndarray, np.ndarray]]
 
     def kwargs(self, given: Mapping[str, Any]) -> dict[str, Any]:
         """This family's parameters from given, defaults filled in, others ignored."""
@@ -603,20 +692,20 @@ class Family:
 FAMILIES: dict[str, Family] = {
     family.name: family
     for family in (
-        Family("normal", "shift", {"sigma": 1.0}, normal_family, _sample_normal),
-        Family("uniform", "shift", {"width": 1.0}, uniform_family, _sample_uniform),
+        Family("normal", "shift", {"sigma": 1.0}, normal_family, _hits_normal),
+        Family("uniform", "shift", {"width": 1.0}, uniform_family, _hits_uniform),
         Family(
-            "gamma", "shift", {"shape": None, "scale": 1.0}, gamma_family, _sample_gamma
+            "gamma", "shift", {"shape": None, "scale": 1.0}, gamma_family, _hits_gamma
         ),
         Family(
             "normal-score",
             "score",
             {"sigma": 1.0},
             normal_score_model,
-            _sample_normal_score,
+            _hits_normal_score,
         ),
-        Family("cauchy-score", "score", {}, cauchy_score_model, _sample_cauchy_score),
-        Family("gamma-score", "score", {}, gamma_score_model, _sample_gamma_score),
+        Family("cauchy-score", "score", {}, cauchy_score_model, _hits_cauchy_score),
+        Family("gamma-score", "score", {}, gamma_score_model, _hits_gamma_score),
     )
 }
 SHIFT_FAMILIES = tuple(name for name, f in FAMILIES.items() if f.kind == "shift")

@@ -12,23 +12,31 @@ the mean reaches z * S.  Two estimators are provided:
     which is the finite-sample quantity whose large-N growth the planners'
     rate formulas describe.
 
-Each family's sampler comes from ldp_engine.FAMILIES.  The normal families
-draw the two statistics from their exact laws, xbar ~ N(0, sigma^2 / n) and
-m S^2 / sigma^2 ~ chi^2_m, so a null costs two draws whatever n and m are;
-gamma draws its mean as one Gamma(n * shape), the law of a sum of n
-Gamma(shape) draws, and its scale from 2m raw observations.  Uniform
-draws n observations and each pair's gap |Y1 - Y2| as one uniform by
-inversion, n + m draws in all; cauchy-score and gamma-score draw all
-n + 2m raw observations.  Raw draws come in row chunks of a fixed number of
-cells that are reduced to per-statistic means and scales at once, so a
-block's memory grows with its statistics, not with n + 2m.  A block whose
-raw draws would pass ldp_engine.MAX_DRAW_CELLS is refused with ValueError;
-the cap bounds the work of one block.  simulate_pfdr refuses a batch_nulls
-above the same cap before it draws anything.
+Each family's sampler comes from ldp_engine.FAMILIES and returns, for every
+statistic of a block, whether it rejects without and with the effect.  The
+normal families draw the two statistics from their exact laws,
+xbar ~ N(0, sigma^2 / n) and m S^2 / sigma^2 ~ chi^2_m, so a null costs two
+draws whatever n and m are.  The other families draw every statistic's
+mean first: gamma as one Gamma(n * shape), the law of a sum of n
+Gamma(shape) draws, uniform, cauchy-score and gamma-score from n raw
+observations.  Their m scale pairs then come in stages of ceil(m / 8),
+ceil(m / 4), ceil(m / 2) and m pairs in all, drawn only for the statistics
+that can still reject: the sum of squared pair gaps only grows, so once
+xbar < z sqrt(partial sum / 2m) on every side a statistic is counted on, it
+cannot reject, and dropping it changes no count.  simulate_pfdr counts each
+null on the side its flag picks and tail_ratio_mc on both.  A pair costs
+two raw observations, or one uniform for uniform's gap |Y1 - Y2| drawn by
+inversion.  Raw draws come in chunks of a fixed number of cells that are
+reduced to per-statistic means and sums at once, so a block's memory grows
+with its statistics, not with n + 2m.  A block whose raw draws could pass
+ldp_engine.MAX_DRAW_CELLS is refused with ValueError; the cap bounds the
+work of one block.  simulate_pfdr refuses a batch_nulls above the same cap
+before it draws anything.
 
 Block b draws from an SFC64 generator seeded by child b of
-SeedSequence(seed), so blocks have independent streams keyed by (seed, b)
-and results are bit-identical across repeat runs and across thread counts;
+SeedSequence(seed), so blocks have independent streams keyed by (seed, b);
+which pairs a block draws depends only on its own draws, so results are
+bit-identical across repeat runs and across thread counts;
 the thread pool size comes from the PFDR_SIZER_THREADS environment
 variable.
 """
@@ -257,13 +265,10 @@ def simulate_pfdr(
     def one_batch(idx: int) -> tuple[int, int]:
         rng = _rng_for(scenario.seed, idx)
         theta = rng.random(batch_nulls) < scenario.pi
-        xbar0, s0, xbar1, s1 = family.sample(rng, batch_nulls, n, m, effect, **params)
-        xbar = np.where(theta, xbar1, xbar0)
-        s = np.where(theta, s1, s0)
-        reject = xbar >= z * s
-        r = int(np.count_nonzero(reject))
-        v = int(np.count_nonzero(reject & ~theta))
-        return v, r
+        # each null counts on the side theta picks: false rejections on 0
+        hit0, hit1 = family.hits(rng, batch_nulls, n, m, effect, z, theta, **params)
+        v = int(np.count_nonzero(hit0))
+        return v, v + int(np.count_nonzero(hit1))
 
     counts = _run_blocks(one_batch, range(scenario.trials))
     ratios = np.array([v / r for v, r in counts if r > 0], dtype=float)
@@ -319,9 +324,7 @@ def tail_ratio_mc(
     def one_block(idx: int) -> tuple[int, int, int]:
         size = min(_TAIL_BLOCK, trials - idx * _TAIL_BLOCK)
         rng = _rng_for(scenario.seed, idx)
-        xbar0, s0, xbar1, s1 = family.sample(rng, size, n, m, d, **params)
-        hit_num = xbar1 >= z * s1
-        hit_den = xbar0 >= z * s0
+        hit_den, hit_num = family.hits(rng, size, n, m, d, z, None, **params)
         return (
             int(np.count_nonzero(hit_num)),
             int(np.count_nonzero(hit_den)),

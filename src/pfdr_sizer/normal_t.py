@@ -228,9 +228,10 @@ def _mgf_rate(mixture: SnrMixture, q: float) -> float:
         return 0.0
     atoms = mixture.atoms
     r_top = max(atoms)[0]
+    offsets = [(r - r_top, w) for r, w in atoms]
 
     def log_mgf(a: float) -> float:
-        return a * r_top + math.log(sum(w * math.exp(a * (r - r_top)) for r, w in atoms))
+        return a * r_top + math.log(sum([w * math.exp(a * dr) for dr, w in offsets]))
 
     log_q = math.log(q)
     return find_root_increasing(log_mgf, log_q, log_q / sum(w * r for r, w in atoms))

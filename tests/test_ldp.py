@@ -12,6 +12,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import integrate
 
+import family_draws
 import oracles
 from pfdr_sizer import ldp_engine
 from pfdr_sizer.ldp_engine import (
@@ -721,15 +722,16 @@ class TestFamilyRegistry:
         for key, default in family.params.items():
             declared = model_params[key].default
             assert declared == (inspect.Parameter.empty if default is None else default)
-        # sample(rng, size, n, m, effect, **params)
-        assert list(inspect.signature(family.sample).parameters)[5:] == list(
+        # hits(rng, size, n, m, effect, z, side, **params)
+        assert list(inspect.signature(family.hits).parameters)[7:] == list(
             family.params
         )
 
     @pytest.mark.parametrize("name", list(ldp_engine.FAMILIES))
     def test_sampler_moments_match_cgf(self, name):
         # at n = m = 1 the mean is one observation and S^2 = (Y1 - Y2)^2 / 2,
-        # so under the null both have variance, resp. mean, Lambda''(0)
+        # so under the null both have variance, resp. mean, Lambda''(0); the
+        # statistics are those the family hands to the rejection rule
         family = ldp_engine.FAMILIES[name]
         kwargs = {key: PARAM_VALUES.get(key, d) for key, d in family.params.items()}
         model = family.model(**kwargs)
@@ -737,7 +739,7 @@ class TestFamilyRegistry:
         curvature = cgf.lambda_d2(0.0)
         size = 200_000
         rng = np.random.default_rng(4321)
-        xbar0, s0, _, s1 = family.sample(rng, size, 1, 1, 0.3, **kwargs)
+        xbar0, s0, _, s1 = family_draws.statistics(name, rng, size, 1, 1, 0.3, **kwargs)
         assert abs(xbar0.mean()) <= 5.0 * xbar0.std() / math.sqrt(size)
         dev2 = (xbar0 - xbar0.mean()) ** 2
         var_se = math.sqrt((np.mean(dev2**2) - np.mean(dev2) ** 2) / size)
@@ -753,8 +755,8 @@ class TestFamilyRegistry:
         # Gamma(n shape) shape, which n = 1 cannot tell from Gamma(shape)
         shape, scale, n, size = PARAM_VALUES["shape"], PARAM_VALUES["scale"], 7, 200_000
         rng = np.random.default_rng(8765)
-        xbar0, *_ = ldp_engine.FAMILIES["gamma"].sample(
-            rng, size, n, 3, 0.3, shape=shape, scale=scale
+        xbar0, *_ = family_draws.statistics(
+            "gamma", rng, size, n, 3, 0.3, shape=shape, scale=scale
         )
         dev = xbar0 - xbar0.mean()
         var = np.mean(dev**2)

@@ -8,13 +8,16 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import stats
 
+import family_draws
 import oracles
 from pfdr_sizer import mc_verify
 from pfdr_sizer.ldp_engine import (
     _CHUNK_CELLS,
+    EULER_GAMMA,
     FAMILIES,
     MAX_DRAW_CELLS,
     SplitSpec,
+    _staged_hits,
     _standard_cauchy,
     _uniform_gap,
     make_family,
@@ -152,14 +155,16 @@ class TestDeterminism:
 # to be made on purpose.  All six were re-pinned when block b moved from a
 # Philox stream keyed by (seed, b) to SFC64 on child b of SeedSequence(seed),
 # cauchy-score to drawing tan(pi (U - 1/2)) and uniform to drawing each
-# pair's gap as 1 - sqrt(U).
+# pair's gap as 1 - sqrt(U).  The four raw-draw families were re-pinned
+# again when their scale pairs moved to pair-major chunks drawn by stages,
+# only for the rows that can still reject; the normal pins did not move.
 PINNED_COUNTS = {
     "normal": ((6373, 3156, 3156), (1811, 1014)),
-    "uniform": ((8986, 3065, 3065), (2155, 999)),
-    "gamma": ((7709, 3360, 3360), (2031, 1044)),
+    "uniform": ((9014, 3081, 3081), (2157, 986)),
+    "gamma": ((7679, 3393, 3393), (2039, 1043)),
     "normal-score": ((5125, 3156, 3156), (1601, 1014)),
-    "cauchy-score": ((5232, 3134, 3000), (1640, 1011)),
-    "gamma-score": ((8139, 3431, 3354), (2033, 1115)),
+    "cauchy-score": ((5228, 3111, 2998), (1626, 1001)),
+    "gamma-score": ((8137, 3393, 3340), (2020, 1091)),
 }
 PINNED_PARAMS = {
     "normal": {},
@@ -206,59 +211,75 @@ def _stream(seed, block=0):
     return np.random.Generator(np.random.SFC64(child))
 
 
-def _whole_block(family, rng, size, n, m, effect, **params):
-    """The raw-draw samplers as one (size, n) and one (size, m or 2m) draw."""
-
-    def gap_scale(d):
-        return np.sqrt(0.5 * np.mean(d * d, axis=1))
-
-    def pair_scale(obs):
-        return gap_scale(obs[:, 0::2] - obs[:, 1::2])
-
+def _whole_means(family, rng, size, n, effect, **params):
+    """The raw-draw families' row means as one (size, n) draw each."""
     if family == "uniform":
-        width = params["width"]
-        xbar0 = width * (rng.random((size, n)) - 0.5).mean(axis=1)
-        s0 = width * gap_scale(1.0 - np.sqrt(rng.random((size, m))))
-        return xbar0, s0, xbar0 + effect, s0
+        xbar0 = params["width"] * (rng.random((size, n)) - 0.5).mean(axis=1)
+        return xbar0, xbar0 + effect
     if family == "gamma":
         shape, scale = params["shape"], params["scale"]
         xbar0 = scale * (rng.standard_gamma(n * shape, size) / n - shape)
-        s0 = scale * pair_scale(rng.standard_gamma(shape, (size, 2 * m)))
-        return xbar0, s0, xbar0 + effect, s0
+        return xbar0, xbar0 + effect
+    if family == "cauchy-score":
+        w = np.tan(np.pi * (rng.random((size, n)) - 0.5))
+        return _cauchy(w).mean(axis=1), _cauchy(w + effect).mean(axis=1)
+    # gamma-score draws each row chunk's exponentials, then its gammas
+    parts, step = [], max(1, _CHUNK_CELLS // n)
+    for start in range(0, size, step):
+        rows = min(step, size - start)
+        w = rng.standard_exponential((rows, n))
+        g = rng.standard_gamma(effect, (rows, n)) if effect > 0.0 else 0.0
+        parts.append([np.log(w) + EULER_GAMMA, np.log(w + g) + EULER_GAMMA])
+    return tuple(np.concatenate([part[j].mean(axis=1) for part in parts]) for j in (0, 1))
 
-    def score(w):
-        return 2.0 * w / (1.0 + w * w)
 
-    def cauchy(shape):
-        return np.tan(np.pi * (rng.random(shape) - 0.5))
+def _whole_gaps(family, rng, rows, pairs, effect, **params):
+    """Squared pair gaps of a (pairs, rows) chunk, null and shifted."""
+    if family == "uniform":
+        d = params["width"] * (1.0 - np.sqrt(rng.random((pairs, rows))))
+        return d * d, d * d
+    if family == "gamma":
+        obs = params["scale"] * rng.standard_gamma(params["shape"], (2 * pairs, rows))
+        d = obs[0::2] - obs[1::2]
+        return d * d, d * d
+    if family == "cauchy-score":
+        w = np.tan(np.pi * (rng.random((2 * pairs, rows)) - 0.5))
+        null, shifted = _cauchy(w), _cauchy(w + effect)
+    else:
+        w = rng.standard_exponential((2 * pairs, rows))
+        g = rng.standard_gamma(effect, (2 * pairs, rows)) if effect > 0.0 else 0.0
+        null, shifted = np.log(w) + EULER_GAMMA, np.log(w + g) + EULER_GAMMA
+    d0, d1 = null[0::2] - null[1::2], shifted[0::2] - shifted[1::2]
+    return d0 * d0, d1 * d1
 
-    w = cauchy((size, n))
-    xbar0, xbar1 = score(w).mean(axis=1), score(w + effect).mean(axis=1)
-    w2 = cauchy((size, 2 * m))
-    return xbar0, pair_scale(score(w2)), xbar1, pair_scale(score(w2 + effect))
+
+def _cauchy(w):
+    return 2.0 * w / (1.0 + w * w)
 
 
+RAW_FAMILIES = ["uniform", "gamma", "cauchy-score", "gamma-score"]
 CHUNK_PARAMS = {"uniform": {"width": 2.0}, "gamma": {"shape": 0.7, "scale": 1.5}}
 
 
 class TestRowChunks:
-    # draws in row chunks must equal one whole-block draw bit for bit, and
-    # leave the stream at the same place
+    # the row means, drawn in row chunks, must equal one whole-block draw bit
+    # for bit and leave the stream at the same place; a stage's chunk of
+    # scale pairs is one pair-major (pairs, rows) draw
     @given(
-        family=st.sampled_from(["uniform", "gamma", "cauchy-score"]),
+        family=st.sampled_from(RAW_FAMILIES),
         size=st.integers(1, 3000),
         n=st.integers(1, 300),
         m=st.integers(1, 300),
         effect=st.floats(0.0, 2.0),
         seed=st.integers(0, 2**32),
     )
-    # below one chunk; 16384 rows of 150 + 300 columns, not a multiple of
-    # the 218 and 109 rows per chunk; more columns than _CHUNK_CELLS, one row
-    # per chunk; exactly _CHUNK_CELLS columns
+    # below one chunk; 16384 rows of 150 columns, not a multiple of the 218
+    # rows per chunk; more columns than _CHUNK_CELLS, one row per chunk
     @example(family="cauchy-score", size=100, n=10, m=10, effect=0.3, seed=1)
     @example(family="uniform", size=16_384, n=150, m=150, effect=0.3, seed=2)
     @example(family="gamma", size=16_384, n=150, m=150, effect=0.3, seed=3)
     @example(family="cauchy-score", size=16_384, n=150, m=150, effect=0.3, seed=4)
+    @example(family="gamma-score", size=16_384, n=150, m=150, effect=0.3, seed=5)
     @example(
         family="cauchy-score", size=3, n=_CHUNK_CELLS + 1,
         m=_CHUNK_CELLS // 2 + 1, effect=0.3, seed=5,
@@ -267,12 +288,20 @@ class TestRowChunks:
         family="uniform", size=3, n=_CHUNK_CELLS + 7, m=_CHUNK_CELLS,
         effect=0.0, seed=6,
     )
-    @example(family="gamma", size=5, n=3, m=_CHUNK_CELLS // 2, effect=0.1, seed=7)
+    @example(family="gamma-score", size=5, n=3, m=7, effect=0.0, seed=7)
     def test_chunks_match_one_whole_block(self, family, size, n, m, effect, seed):
         params = CHUNK_PARAMS.get(family, {})
         chunked, whole = _stream(seed), _stream(seed)
-        got = FAMILIES[family].sample(chunked, size, n, m, effect, **params)
-        want = _whole_block(family, whole, size, n, m, effect, **params)
+        seen = family_draws.captured_call(family, chunked, size, n, m, effect, **params)
+        want = _whole_means(family, whole, size, n, effect, **params)
+        assert np.array_equal(seen["xbar0"], want[0])
+        assert np.array_equal(seen["xbar1"], want[1])
+        # a zero effect or a shift family takes one scale for both sides
+        assert seen["shared"] == (family in SHIFT_FAMILIES or effect == 0.0)
+        assert chunked.random() == whole.random()
+        rows, pairs = min(size, 4), min(m, 3)
+        got = seen["gaps"](np.arange(rows), pairs)
+        want = _whole_gaps(family, whole, rows, pairs, effect, **params)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
         assert chunked.random() == whole.random()
@@ -295,21 +324,122 @@ class TestInversionDraws:
 class TestBlockMemory:
     # one 16384-row block drawn whole would hold several (16384, n + 2m)
     # float64 arrays, 75 MiB to 2.5 GiB at these sizes; chunked it holds
-    # O(16384) statistics and a few chunks of _CHUNK_CELLS cells
+    # O(16384) statistics and a few chunks of _CHUNK_CELLS cells.  At so low
+    # a threshold every row with a mean >= 0 runs through all the stages.
     @pytest.mark.parametrize("nm", [150, 2000])
-    @pytest.mark.parametrize(
-        "family", ["uniform", "gamma", "cauchy-score", "gamma-score"]
-    )
+    @pytest.mark.parametrize("family", RAW_FAMILIES)
     def test_block_peak_stays_small(self, family, nm):
         params = CHUNK_PARAMS.get(family, {})
         rng = _stream(1)
         tracemalloc.start()
         try:
-            FAMILIES[family].sample(rng, 16_384, nm, nm, 1.0, **params)
+            hit0, hit1 = FAMILIES[family].hits(rng, 16_384, nm, nm, 1.0, 1e-3, None, **params)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+        assert hit0.sum() > 4000 and hit1.sum() > 4000
+
+
+def _served_gaps(tables):
+    """gaps(rows, pairs) serving the next columns of fixed (size, m) tables.
+
+    Also returns how many pairs each row was served.
+    """
+    served = np.zeros(tables[0].shape[0], dtype=int)
+
+    def gaps(rows, pairs):
+        first = served[rows]
+        assert np.all(first == first[0])
+        served[rows] += pairs
+        return tuple(t[rows, first[0]:first[0] + pairs].T for t in tables)
+
+    return gaps, served
+
+
+def _all_pairs_hits(xbars, tables, m, z):
+    # the rule on all m pairs: S^2 = (sum of squared gaps in pair order) / 2m
+    bounds = [z * np.sqrt(np.cumsum(t, axis=1)[:, -1] / (2 * m)) for t in tables]
+    return xbars[0] >= bounds[0], xbars[1] >= bounds[-1]
+
+
+class TestStagedHits:
+    # the staged decision against the rule on all m pairs, on the same
+    # squared gaps; m = 1, m = 13 (which no stage divides) and m = 8
+    @given(
+        m=st.integers(1, 40),
+        size=st.integers(1, 60),
+        shared=st.booleans(),
+        picked=st.booleans(),
+        z=st.floats(0.01, 20.0),
+        seed=st.integers(0, 2**32),
+    )
+    @example(m=1, size=40, shared=True, picked=False, z=1.0, seed=1)
+    @example(m=1, size=40, shared=False, picked=True, z=0.5, seed=2)
+    @example(m=13, size=60, shared=False, picked=False, z=2.0, seed=3)
+    @example(m=13, size=60, shared=True, picked=True, z=3.0, seed=4)
+    @example(m=8, size=60, shared=False, picked=False, z=1.0, seed=5)
+    def test_equals_the_all_pairs_rule(self, m, size, shared, picked, z, seed):
+        rng = np.random.default_rng(seed)
+        tables = [rng.exponential(size=(size, m)) for _ in range(1 if shared else 2)]
+        for t in tables:
+            t[rng.random(t.shape) < 0.2] = 0.0
+        full = [z * np.sqrt(np.cumsum(t, axis=1)[:, -1] / (2 * m)) for t in tables]
+        half = [
+            z * np.sqrt(np.cumsum(t, axis=1)[:, -(-m // 2) - 1] / (2 * m)) for t in tables
+        ]
+        xbars = []
+        for j in (0, 1):
+            b, h = full[min(j, len(tables) - 1)], half[min(j, len(tables) - 1)]
+            # 0 exactly, z S exactly, one ulp below, between the bound on
+            # ceil(m / 2) pairs and on all m (decided at the last stage
+            # only), negative, and anywhere
+            choices = np.stack([
+                np.zeros(size), b, np.nextafter(b, -np.inf),
+                h + (b - h) * rng.random(size), -rng.random(size),
+                rng.normal(0.0, 2.0 * b + 0.1),
+            ])
+            xbars.append(choices[rng.integers(0, len(choices), size), np.arange(size)])
+        side = rng.random(size) < 0.5 if picked else None
+        gaps, served = _served_gaps(tables)
+        got = _staged_hits(xbars[0], xbars[1], gaps, m, z, side, shared)
+        want = list(_all_pairs_hits(xbars, tables, m, z))
+        if picked:
+            want[0] &= ~side
+            want[1] &= side
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        # a row whose served sides all have a negative mean draws nothing
+        lows = [x < 0.0 for x in xbars]
+        dead = np.where(side, lows[1], lows[0]) if picked else lows[0] & lows[1]
+        assert np.all(served[dead] == 0)
+        assert np.all((served == 0) | (served >= -(-m // 8)))
+        assert served.max(initial=0) <= m
+
+    # hit frequencies against the rule on all m pairs of every row, drawn by
+    # the same family on an independent stream: two binomials of 2e5 trials
+    # each, compared at 5 standard errors, on both sides and on the side a
+    # flag picks
+    @pytest.mark.parametrize("family", RAW_FAMILIES)
+    def test_hit_rates_match_all_pairs(self, family):
+        params = CHUNK_PARAMS.get(family, {})
+        size, n, m, effect, z = 200_000, 6, 5, 0.3, 0.6
+        staged = FAMILIES[family].hits(_stream(11), size, n, m, effect, z, None, **params)
+        xbar0, s0, xbar1, s1 = family_draws.statistics(
+            family, _stream(12), size, n, m, effect, **params
+        )
+        full = (xbar0 >= z * s0, xbar1 >= z * s1)
+        side = _stream(13).random(size) < 0.3
+        picked = FAMILIES[family].hits(_stream(14), size, n, m, effect, z, side, **params)
+        pairs = [
+            (staged[0].sum(), full[0].sum()),
+            (staged[1].sum(), full[1].sum()),
+            (picked[0].sum() + picked[1].sum(), np.where(side, full[1], full[0]).sum()),
+        ]
+        for a, b in pairs:
+            p = (a + b) / (2 * size)
+            assert 0.01 < p < 0.5
+            assert abs(a - b) / size <= 5.0 * math.sqrt(2.0 * p * (1.0 - p) / size)
 
 
 class TestTailRatio:
@@ -548,3 +678,12 @@ class TestCouplingStructure:
         result = tail_ratio_mc(scenario, t_target=0.0)
         assert result.hits_num == result.hits_den == result.hits_joint
         assert result.stderr == 0.0
+
+    @pytest.mark.parametrize("family", ["cauchy-score", "gamma-score"])
+    def test_zero_effect_scores_are_the_null_scores(self, family):
+        scenario = SimScenario(
+            family=family, effect=0.0, pi=0.5, n=4, m=4,
+            schedule=_fixed(0.2), trials=5_000, seed=13,
+        )
+        result = tail_ratio_mc(scenario, t_target=0.0)
+        assert result.hits_num == result.hits_den == result.hits_joint
