@@ -16,7 +16,7 @@ import numbers
 import sys
 import warnings
 from dataclasses import asdict, dataclass
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from . import __version__
 from .f_test import FEffect, plan_f
@@ -24,6 +24,8 @@ from .ldp_engine import (
     FAMILIES,
     SCORE_FAMILIES,
     SHIFT_FAMILIES,
+    CgfModel,
+    ScoreModel,
     SplitSpec,
     TailIndex,
     empirical_cgf,
@@ -113,101 +115,267 @@ _EMPIRICAL_PARAMS = (
     Param("tail-lambda", float, default=0.0, help="tail index for family=empirical"),
 )
 
-COMMANDS: dict[str, tuple[Param, ...]] = {
-    "plan-t": _TARGET
-    + (
-        Param("snr", float, required=True, help="signal-to-noise ratio r > 0"),
-        _N_MAX,
+# ---------------------------------------------------------------------------
+# commands
+
+
+# each command's parameters and handler, in the order the help lists them;
+# a handler takes the resolved parameters and the seed and returns the
+# report's (outputs, diagnostics)
+COMMANDS: dict[str, tuple[tuple[Param, ...], Callable[..., tuple[dict, dict]]]] = {}
+
+
+def _command(name: str, *params: Param):
+    def declare(handler):
+        COMMANDS[name] = (params, handler)
+        return handler
+
+    return declare
+
+
+def _plan_outputs(report) -> tuple[dict[str, Any], dict[str, Any]]:
+    outputs = {
+        "n_exact": report.n_exact,
+        "n_asymptotic": report.n_asymptotic,
+        "regime": report.regime,
+        "q_value": report.q_value,
+    }
+    diagnostics: dict[str, Any] = dict(report.diagnostics)
+    if report.notes:
+        diagnostics["notes"] = list(report.notes)
+    return outputs, diagnostics
+
+
+@_command(
+    "plan-t",
+    *_TARGET,
+    Param("snr", float, required=True, help="signal-to-noise ratio r > 0"),
+    _N_MAX,
+)
+def _plan_t(p: dict[str, Any], seed: int):
+    target = PfdrTarget(p["alpha"], p["pi"])
+    return _plan_outputs(plan_t(target, SnrEffect(p["snr"]), n_max=p["n-max"]))
+
+
+def _parse_atoms(text: str) -> tuple[tuple[float, float], ...]:
+    atoms = []
+    for piece in text.split(","):
+        piece = piece.strip()
+        if not piece:
+            continue
+        loc, sep, weight = piece.partition(":")
+        if not sep:
+            raise UsageError(
+                f"atom {piece!r} is not of the form location:weight"
+            )
+        try:
+            atoms.append((float(loc), float(weight)))
+        except ValueError as exc:
+            raise UsageError(f"bad atom {piece!r}: {exc}") from exc
+    if not atoms:
+        raise UsageError("atoms parameter is empty")
+    return tuple(atoms)
+
+
+@_command(
+    "plan-t-mixture",
+    *_TARGET,
+    Param(
+        "atoms",
+        str,
+        required=True,
+        help="mixture atoms as r:w pairs, e.g. 1:0.5,2:0.5",
     ),
-    "plan-t-mixture": _TARGET
-    + (
-        Param(
-            "atoms",
-            str,
-            required=True,
-            help="mixture atoms as r:w pairs, e.g. 1:0.5,2:0.5",
-        ),
-        Param("scale", float, default=1.0, help="common scale on all atoms"),
-        _N_MAX,
+    Param("scale", float, default=1.0, help="common scale on all atoms"),
+    _N_MAX,
+)
+def _plan_t_mixture(p: dict[str, Any], seed: int):
+    target = PfdrTarget(p["alpha"], p["pi"])
+    mixture = SnrMixture(atoms=_parse_atoms(p["atoms"]), scale=p["scale"])
+    return _plan_outputs(plan_t_mixture(target, mixture, n_max=p["n-max"]))
+
+
+@_command(
+    "plan-f",
+    *_TARGET,
+    Param("delta", float, required=True, help="noncentrality per observation"),
+    Param("p", int, required=True, help="numerator constraint count"),
+    _N_MAX,
+)
+def _plan_f(p: dict[str, Any], seed: int):
+    target = PfdrTarget(p["alpha"], p["pi"])
+    return _plan_outputs(plan_f(target, FEffect(p["delta"], p["p"]), n_max=p["n-max"]))
+
+
+def _model(p: dict[str, Any]) -> tuple[CgfModel, TailIndex, float | None]:
+    """(cgf, tail, k_f) of the family p names; k_f is None but for score models."""
+    family = p["family"]
+    if family in SCORE_FAMILIES:
+        model = make_score_model(family, **p)
+        return model.cgf, model.tail, model.k_f
+    if family != "empirical":
+        return (*make_family(family, **p), None)
+    if p.get("sample-file") is None:
+        raise UsageError("family=empirical requires --sample-file")
+    import numpy as np
+
+    path = p["sample-file"]
+    try:
+        with warnings.catch_warnings():
+            # numpy warns on an empty file; the error below says it instead
+            warnings.simplefilter("ignore", UserWarning)
+            sample = np.loadtxt(path).ravel()
+    except OSError as exc:
+        raise UsageError(f"cannot read sample file: {exc}") from exc
+    if sample.size == 0:
+        raise UsageError(f"sample file {path!r} holds no observations")
+    try:
+        grid = [float(v) for v in p["t-grid"].split(",") if v.strip()]
+    except ValueError as exc:
+        raise UsageError(f"bad t-grid {p['t-grid']!r}: {exc}") from exc
+    return empirical_cgf(sample, grid), TailIndex(lam=p["tail-lambda"]), None
+
+
+@_command(
+    "plan-general",
+    *_TARGET,
+    Param(
+        "family",
+        str,
+        required=True,
+        choices=SHIFT_FAMILIES + ("empirical",),
+        help="data family",
     ),
-    "plan-f": _TARGET
-    + (
-        Param("delta", float, required=True, help="noncentrality per observation"),
-        Param("p", int, required=True, help="numerator constraint count"),
-        _N_MAX,
+    Param("effect", float, required=True, help="mean shift d > 0"),
+    Param("rho", float, required=True, help="fraction of sample for the scale"),
+    *_FAMILY_PARAMS,
+    *_EMPIRICAL_PARAMS,
+)
+def _plan_general(p: dict[str, Any], seed: int):
+    target = PfdrTarget(p["alpha"], p["pi"])
+    cgf, tail, _ = _model(p)
+    report = n_star_general(target, cgf, tail, SplitSpec(p["rho"]), p["effect"])
+    return _plan_outputs(report)
+
+
+@_command(
+    "plan-score",
+    *_TARGET,
+    Param("family", str, required=True, choices=SCORE_FAMILIES, help="score model"),
+    Param("effect", float, required=True, help="location shift theta > 0"),
+    Param("rho", float, required=True, help="fraction of sample for the scale"),
+    *_family_params(SCORE_FAMILIES),
+)
+def _plan_score(p: dict[str, Any], seed: int):
+    target = PfdrTarget(p["alpha"], p["pi"])
+    model = ScoreModel(*_model(p))
+    return _plan_outputs(n_star_score(target, model, SplitSpec(p["rho"]), p["effect"]))
+
+
+@_command(
+    "optimize-split",
+    Param("family", str, required=True, choices=SHIFT_FAMILIES, help="data family"),
+    *_FAMILY_PARAMS,
+)
+def _optimize_split(p: dict[str, Any], seed: int):
+    cgf, tail, _ = _model(p)
+    outputs = asdict(optimal_split(cgf, tail))
+    return outputs, {"family": cgf.family_tag, "lambda_tail": tail.lam}
+
+
+@_command(
+    "simulate",
+    Param("family", str, required=True, choices=tuple(FAMILIES), help="data family"),
+    Param(
+        "estimand",
+        str,
+        default="pfdr",
+        choices=("pfdr", "tail-ratio"),
+        help="what to estimate",
     ),
-    "plan-general": _TARGET
-    + (
-        Param(
-            "family",
-            str,
-            required=True,
-            choices=SHIFT_FAMILIES + ("empirical",),
-            help="data family",
-        ),
-        Param("effect", float, required=True, help="mean shift d > 0"),
-        Param("rho", float, required=True, help="fraction of sample for the scale"),
+    Param("effect", float, default=0.0, help="shift applied to false nulls"),
+    Param("pi", float, default=0.5, help="prior probability a null is false"),
+    Param("n", int, required=True, help="observations for the mean"),
+    Param("m", int, required=True, help="pairs for the scale estimate"),
+    Param("trials", int, required=True, help="batches (pfdr) or draws (ratio)"),
+    Param("z0", float, required=True, help="threshold multiplier"),
+    Param(
+        "schedule",
+        str,
+        default="fixed",
+        choices=("fixed", "loglog"),
+        help="threshold growth in N",
+    ),
+    Param("t-target", float, help="threshold growth T for estimand=tail-ratio"),
+    Param("batch-nulls", int, default=10_000, help="nulls per pfdr batch"),
+    Param("min-hits", int, default=100, help="minimum tail hits per side"),
+    *_FAMILY_PARAMS,
+)
+def _simulate(p: dict[str, Any], seed: int):
+    family = p["family"]
+    schedule = ThresholdSchedule(kind=p["schedule"], z0=p["z0"])
+    scenario = SimScenario(
+        family=family,
+        effect=p["effect"],
+        pi=p["pi"],
+        n=p["n"],
+        m=p["m"],
+        schedule=schedule,
+        trials=p["trials"],
+        seed=seed,
+        params=FAMILIES[family].kwargs(p),
     )
-    + _FAMILY_PARAMS
-    + _EMPIRICAL_PARAMS,
-    "plan-score": _TARGET
-    + (
-        Param(
-            "family", str, required=True, choices=SCORE_FAMILIES, help="score model"
-        ),
-        Param("effect", float, required=True, help="location shift theta > 0"),
-        Param("rho", float, required=True, help="fraction of sample for the scale"),
-    )
-    + _family_params(SCORE_FAMILIES),
-    "optimize-split": (
-        Param(
-            "family", str, required=True, choices=SHIFT_FAMILIES, help="data family"
-        ),
-    )
-    + _FAMILY_PARAMS,
-    "simulate": (
-        Param(
-            "family", str, required=True, choices=tuple(FAMILIES), help="data family"
-        ),
-        Param(
-            "estimand",
-            str,
-            default="pfdr",
-            choices=("pfdr", "tail-ratio"),
-            help="what to estimate",
-        ),
-        Param("effect", float, default=0.0, help="shift applied to false nulls"),
-        Param("pi", float, default=0.5, help="prior probability a null is false"),
-        Param("n", int, required=True, help="observations for the mean"),
-        Param("m", int, required=True, help="pairs for the scale estimate"),
-        Param("trials", int, required=True, help="batches (pfdr) or draws (ratio)"),
-        Param("z0", float, required=True, help="threshold multiplier"),
-        Param(
-            "schedule",
-            str,
-            default="fixed",
-            choices=("fixed", "loglog"),
-            help="threshold growth in N",
-        ),
-        Param("t-target", float, help="threshold growth T for estimand=tail-ratio"),
-        Param("batch-nulls", int, default=10_000, help="nulls per pfdr batch"),
-        Param("min-hits", int, default=100, help="minimum tail hits per side"),
-    )
-    + _FAMILY_PARAMS,
-    "ldp-info": (
-        Param(
-            "family",
-            str,
-            required=True,
-            choices=tuple(FAMILIES) + ("empirical",),
-            help="data family or score model",
-        ),
-        Param("rho", float, default=0.5, help="fraction of sample for the scale"),
-        Param("u", float, help="slope at which to report the Legendre transform"),
-    )
-    + _FAMILY_PARAMS
-    + _EMPIRICAL_PARAMS,
-}
+    n_total = scenario.n + scenario.m
+    diagnostics: dict[str, Any] = {
+        "z": schedule.z_at(n_total),
+        "n_total": n_total,
+    }
+    if p["estimand"] == "pfdr":
+        return asdict(simulate_pfdr(scenario, batch_nulls=p["batch-nulls"])), diagnostics
+    if p.get("t-target") is None:
+        raise UsageError("estimand=tail-ratio requires --t-target")
+    res = tail_ratio_mc(scenario, p["t-target"], min_hits=p["min-hits"])
+    diagnostics["d_shift"] = p["t-target"] / n_total
+    return asdict(res), diagnostics
+
+
+@_command(
+    "ldp-info",
+    Param(
+        "family",
+        str,
+        required=True,
+        choices=tuple(FAMILIES) + ("empirical",),
+        help="data family or score model",
+    ),
+    Param("rho", float, default=0.5, help="fraction of sample for the scale"),
+    Param("u", float, help="slope at which to report the Legendre transform"),
+    *_FAMILY_PARAMS,
+    *_EMPIRICAL_PARAMS,
+)
+def _ldp_info(p: dict[str, Any], seed: int):
+    cgf, tail, k_f_value = _model(p)
+    split = SplitSpec(p["rho"])
+    t0 = solve_t0(cgf, tail, split)
+    outputs: dict[str, Any] = {
+        "t0": t0,
+        "rate_factor": (1.0 - split.rho) * t0,
+        "lambda_tail": tail.lam,
+    }
+    if k_f_value is not None:
+        outputs["k_f"] = k_f_value
+    if p.get("u") is not None:
+        rate, eta = legendre(cgf, p["u"])
+        outputs["legendre_rate"] = rate
+        outputs["legendre_eta"] = eta
+    diagnostics = {
+        "family": cgf.family_tag,
+        "domain_sup": cgf.domain_sup,
+        "domain_inf": cgf.domain_inf,
+        "rho": split.rho,
+    }
+    return outputs, diagnostics
+
 
 # config keys accepted for every command alongside its parameters
 _COMMON = (
@@ -232,7 +400,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, params in COMMANDS.items():
+    for command, (params, _) in COMMANDS.items():
         p = sub.add_parser(command)
         for param in params + _COMMON:
             p.add_argument(
@@ -299,7 +467,7 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
     """
     args = _build_parser().parse_args(list(argv))
     command = args.command
-    params = COMMANDS[command] + _COMMON
+    params = COMMANDS[command][0] + _COMMON
     by_name = {p.name: p for p in params}
 
     values: dict[str, Any] = {}
@@ -353,12 +521,29 @@ def _config_value(value: Any) -> str:
 # execution
 
 
-# numerical faults end as exit-1 statuses that carry the message
-_FAULT_STATUS = {
-    RootBracketError: "root-not-bracketed",
-    SeriesDivergenceError: "series-diverged",
-    InvalidRatioError: "invalid-ratio",
-    NonMonotoneCurveError: "non-monotone-curve",
+# each typed library failure: its status, its fixed outputs and the keys of
+# its diagnostics, in order, each the error's attribute of that name or, for
+# "message", its text; the report's exit code is 1
+_OUTCOMES: dict[type[Exception], tuple[str, dict[str, Any], tuple[str, ...]]] = {
+    NotAttainableError: (
+        "not-attainable",
+        {"n_exact": None, "n_asymptotic": None},
+        ("rho_at_n_max", "n_max", "q_value"),
+    ),
+    InsufficientHitsError: (
+        "insufficient-hits",
+        {"ratio_hat": None},
+        ("hits_num", "hits_den", "trials", "min_hits"),
+    ),
+    DegenerateScenarioError: (
+        "degenerate-scenario",
+        {"pfdr_hat": None},
+        ("batches", "total_nulls", "reject_rate_bound"),
+    ),
+    RootBracketError: ("root-not-bracketed", {}, ("message",)),
+    SeriesDivergenceError: ("series-diverged", {}, ("message",)),
+    InvalidRatioError: ("invalid-ratio", {}, ("message",)),
+    NonMonotoneCurveError: ("non-monotone-curve", {}, ("message",)),
 }
 
 
@@ -368,36 +553,15 @@ def run(config: RunConfig) -> int:
         print(_render_effective(config))
         return 0
     try:
-        outputs, diagnostics = _execute(config)
+        _, handler = COMMANDS[config.command]
+        outputs, diagnostics = handler(config.parameters, config.seed)
         status = "ok"
-    except NotAttainableError as exc:
-        outputs = {"n_exact": None, "n_asymptotic": None}
-        diagnostics = {
-            "rho_at_n_max": exc.rho_at_n_max,
-            "n_max": exc.n_max,
-            "q_value": exc.q_value,
-        }
-        status = "not-attainable"
-    except InsufficientHitsError as exc:
-        outputs = {"ratio_hat": None}
-        diagnostics = {
-            "hits_num": exc.hits_num,
-            "hits_den": exc.hits_den,
-            "trials": exc.trials,
-            "min_hits": exc.min_hits,
-        }
-        status = "insufficient-hits"
-    except DegenerateScenarioError as exc:
-        outputs = {"pfdr_hat": None}
-        diagnostics = {
-            "batches": exc.batches,
-            "total_nulls": exc.total_nulls,
-            "reject_rate_bound": exc.reject_rate_bound,
-        }
-        status = "degenerate-scenario"
-    except tuple(_FAULT_STATUS) as exc:
-        outputs, diagnostics = {}, {"message": str(exc)}
-        status = _FAULT_STATUS[type(exc)]
+    except tuple(_OUTCOMES) as exc:
+        status, outputs, keys = _OUTCOMES[type(exc)]
+        fields = {**vars(exc), "message": str(exc)}
+        diagnostics = {key: fields[key] for key in keys}
+    except ValueError as exc:  # UnsupportedFamilyError included
+        raise UsageError(str(exc)) from exc
 
     report = {
         "command": config.command,
@@ -418,187 +582,6 @@ def run(config: RunConfig) -> int:
         except OSError as exc:
             raise UsageError(f"cannot write {config.output_path!r}: {exc}")
     return 0 if status == "ok" else 1
-
-
-def _execute(config: RunConfig) -> tuple[dict[str, Any], dict[str, Any]]:
-    p = config.parameters
-    try:
-        handler = _HANDLERS[config.command]
-        return handler(p, config.seed)
-    except ValueError as exc:  # UnsupportedFamilyError included
-        raise UsageError(str(exc)) from exc
-
-
-def _plan_outputs(report) -> tuple[dict[str, Any], dict[str, Any]]:
-    outputs = {
-        "n_exact": report.n_exact,
-        "n_asymptotic": report.n_asymptotic,
-        "regime": report.regime,
-        "q_value": report.q_value,
-    }
-    diagnostics: dict[str, Any] = dict(report.diagnostics)
-    if report.notes:
-        diagnostics["notes"] = list(report.notes)
-    return outputs, diagnostics
-
-
-def _handle_plan_t(p: dict[str, Any], seed: int):
-    target = PfdrTarget(p["alpha"], p["pi"])
-    return _plan_outputs(plan_t(target, SnrEffect(p["snr"]), n_max=p["n-max"]))
-
-
-def _parse_atoms(text: str) -> tuple[tuple[float, float], ...]:
-    atoms = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        loc, sep, weight = piece.partition(":")
-        if not sep:
-            raise UsageError(
-                f"atom {piece!r} is not of the form location:weight"
-            )
-        try:
-            atoms.append((float(loc), float(weight)))
-        except ValueError as exc:
-            raise UsageError(f"bad atom {piece!r}: {exc}") from exc
-    if not atoms:
-        raise UsageError("atoms parameter is empty")
-    return tuple(atoms)
-
-
-def _handle_plan_t_mixture(p: dict[str, Any], seed: int):
-    target = PfdrTarget(p["alpha"], p["pi"])
-    mixture = SnrMixture(atoms=_parse_atoms(p["atoms"]), scale=p["scale"])
-    return _plan_outputs(plan_t_mixture(target, mixture, n_max=p["n-max"]))
-
-
-def _handle_plan_f(p: dict[str, Any], seed: int):
-    target = PfdrTarget(p["alpha"], p["pi"])
-    return _plan_outputs(plan_f(target, FEffect(p["delta"], p["p"]), n_max=p["n-max"]))
-
-
-def _empirical_model(p: dict[str, Any]):
-    if p.get("sample-file") is None:
-        raise UsageError("family=empirical requires --sample-file")
-    import numpy as np
-
-    path = p["sample-file"]
-    try:
-        with warnings.catch_warnings():
-            # numpy warns on an empty file; the error below says it instead
-            warnings.simplefilter("ignore", UserWarning)
-            sample = np.loadtxt(path).ravel()
-    except OSError as exc:
-        raise UsageError(f"cannot read sample file: {exc}") from exc
-    if sample.size == 0:
-        raise UsageError(f"sample file {path!r} holds no observations")
-    try:
-        grid = [float(v) for v in p["t-grid"].split(",") if v.strip()]
-    except ValueError as exc:
-        raise UsageError(f"bad t-grid {p['t-grid']!r}: {exc}") from exc
-    cgf = empirical_cgf(sample, grid)
-    tail = TailIndex(lam=p["tail-lambda"])
-    return cgf, tail
-
-
-def _handle_plan_general(p: dict[str, Any], seed: int):
-    target = PfdrTarget(p["alpha"], p["pi"])
-    family = p["family"]
-    if family == "empirical":
-        cgf, tail = _empirical_model(p)
-    else:
-        cgf, tail = make_family(family, **FAMILIES[family].kwargs(p))
-    report = n_star_general(target, cgf, tail, SplitSpec(p["rho"]), p["effect"])
-    return _plan_outputs(report)
-
-
-def _handle_plan_score(p: dict[str, Any], seed: int):
-    target = PfdrTarget(p["alpha"], p["pi"])
-    family = p["family"]
-    model = make_score_model(family, **FAMILIES[family].kwargs(p))
-    report = n_star_score(target, model, SplitSpec(p["rho"]), p["effect"])
-    return _plan_outputs(report)
-
-
-def _handle_optimize_split(p: dict[str, Any], seed: int):
-    family = p["family"]
-    cgf, tail = make_family(family, **FAMILIES[family].kwargs(p))
-    outputs = asdict(optimal_split(cgf, tail))
-    return outputs, {"family": cgf.family_tag, "lambda_tail": tail.lam}
-
-
-def _handle_simulate(p: dict[str, Any], seed: int):
-    family = p["family"]
-    schedule = ThresholdSchedule(kind=p["schedule"], z0=p["z0"])
-    scenario = SimScenario(
-        family=family,
-        effect=p["effect"],
-        pi=p["pi"],
-        n=p["n"],
-        m=p["m"],
-        schedule=schedule,
-        trials=p["trials"],
-        seed=seed,
-        params=FAMILIES[family].kwargs(p),
-    )
-    n_total = scenario.n + scenario.m
-    diagnostics: dict[str, Any] = {
-        "z": schedule.z_at(n_total),
-        "n_total": n_total,
-    }
-    if p["estimand"] == "pfdr":
-        return asdict(simulate_pfdr(scenario, batch_nulls=p["batch-nulls"])), diagnostics
-    if p.get("t-target") is None:
-        raise UsageError("estimand=tail-ratio requires --t-target")
-    res = tail_ratio_mc(scenario, p["t-target"], min_hits=p["min-hits"])
-    diagnostics["d_shift"] = p["t-target"] / n_total
-    return asdict(res), diagnostics
-
-
-def _handle_ldp_info(p: dict[str, Any], seed: int):
-    family = p["family"]
-    k_f_value = None
-    if family == "empirical":
-        cgf, tail = _empirical_model(p)
-    elif family in SCORE_FAMILIES:
-        model = make_score_model(family, **FAMILIES[family].kwargs(p))
-        cgf, tail = model.cgf, model.tail
-        k_f_value = model.k_f
-    else:
-        cgf, tail = make_family(family, **FAMILIES[family].kwargs(p))
-    split = SplitSpec(p["rho"])
-    t0 = solve_t0(cgf, tail, split)
-    outputs: dict[str, Any] = {
-        "t0": t0,
-        "rate_factor": (1.0 - split.rho) * t0,
-        "lambda_tail": tail.lam,
-    }
-    if k_f_value is not None:
-        outputs["k_f"] = k_f_value
-    if p.get("u") is not None:
-        rate, eta = legendre(cgf, p["u"])
-        outputs["legendre_rate"] = rate
-        outputs["legendre_eta"] = eta
-    diagnostics = {
-        "family": cgf.family_tag,
-        "domain_sup": cgf.domain_sup,
-        "domain_inf": cgf.domain_inf,
-        "rho": split.rho,
-    }
-    return outputs, diagnostics
-
-
-_HANDLERS = {
-    "plan-t": _handle_plan_t,
-    "plan-t-mixture": _handle_plan_t_mixture,
-    "plan-f": _handle_plan_f,
-    "plan-general": _handle_plan_general,
-    "plan-score": _handle_plan_score,
-    "optimize-split": _handle_optimize_split,
-    "simulate": _handle_simulate,
-    "ldp-info": _handle_ldp_info,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -687,17 +670,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        config = parse_config(argv)
+        return run(parse_config(argv))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    try:
-        return run(config)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def main_entry() -> None:

@@ -202,17 +202,21 @@ def _curvature(
     return value
 
 
-def normal_family(sigma: float = 1.0) -> tuple[CgfModel, TailIndex]:
-    _positive("sigma", sigma)
-    s2 = _curvature(sigma * sigma, "sigma^2", sigma=sigma)
-    cgf = CgfModel(
+def _quadratic_cgf(s2: float, tag: str) -> CgfModel:
+    # centered normal data of variance s2
+    return CgfModel(
         lambda_fn=lambda t: 0.5 * s2 * t * t,
         lambda_d1=lambda t: s2 * t,
         lambda_d2=lambda t: s2,
-        family_tag=f"normal(sigma={sigma:g})",
+        family_tag=tag,
     )
+
+
+def normal_family(sigma: float = 1.0) -> tuple[CgfModel, TailIndex]:
+    _positive("sigma", sigma)
+    s2 = _curvature(sigma * sigma, "sigma^2", sigma=sigma)
     # X - Y is normal with variance 2 sigma^2: positive finite density at 0
-    return cgf, TailIndex(lam=0.0)
+    return _quadratic_cgf(s2, f"normal(sigma={sigma:g})"), TailIndex(lam=0.0)
 
 
 def _uniform_lambda(t: float) -> float:
@@ -323,12 +327,7 @@ def normal_score_model(sigma: float = 1.0) -> ScoreModel:
     """Location score of normal data: X = omega / sigma^2, standard deviation 1/sigma."""
     _positive("sigma", sigma)
     inv_s2 = 1.0 / _curvature(sigma * sigma, "sigma^2", sigma=sigma)
-    cgf = CgfModel(
-        lambda_fn=lambda t: 0.5 * inv_s2 * t * t,
-        lambda_d1=lambda t: inv_s2 * t,
-        lambda_d2=lambda t: inv_s2,
-        family_tag=f"normal-score(sigma={sigma:g})",
-    )
+    cgf = _quadratic_cgf(inv_s2, f"normal-score(sigma={sigma:g})")
     return ScoreModel(cgf=cgf, tail=TailIndex(lam=0.0), k_f=0.0)
 
 
@@ -594,11 +593,9 @@ def _hits_gamma(rng, size, n, m, effect, z, side, shape, scale):
 
 
 def _hits_normal_score(rng, size, n, m, effect, z, side, sigma):
-    import numpy as np
-
-    xbar0 = rng.standard_normal(size) / (sigma * math.sqrt(n))
-    s0 = np.sqrt(rng.chisquare(m, size) / m) / sigma
-    return _exact_hits(xbar0, xbar0 + effect / (sigma * sigma), s0, z, side)
+    # the score omega / sigma^2 of N(theta, sigma^2) data is normal data of
+    # standard deviation 1 / sigma shifted by theta / sigma^2
+    return _hits_normal(rng, size, n, m, effect / (sigma * sigma), z, side, 1.0 / sigma)
 
 
 def _score_hits(size, n, m, z, side, scores):
@@ -758,10 +755,10 @@ def legendre(cgf: CgfModel, u: float) -> tuple[float, float]:
         hint = min(hint, math.nextafter(0.0, -1.0))
     try:
         eta = find_root_increasing(cgf.lambda_d1, u, hint, lo=lo, hi=hi)
-    except RootBracketError as exc:
+    except (RootBracketError, RootRangeError) as exc:
         raise RootRangeError(
             f"slope u = {u!r} is outside the derivative range of the cgf "
-            f"({cgf.family_tag})"
+            f"({cgf.family_tag}): it lies {'above' if u > 0.0 else 'below'} the range"
         ) from exc
     return u * eta - cgf.lambda_fn(eta), eta
 
@@ -906,9 +903,20 @@ def pfdr_floor_limit(pi: float, rho: float, t_growth: float, t0: float) -> float
 
 
 def _integer_plan(q: float, rate: float, rho: float) -> tuple[float, dict[str, float]]:
-    """N_asymptotic = ln(Q) / rate, and the integer plan's diagnostics."""
+    """N_asymptotic = ln(Q) / rate, and the integer plan's diagnostics.
+
+    Raises ValueError when ln(Q) / rate is not finite: a rate that
+    underflowed to 0, or one so small that the quotient overflows.
+    """
     log_q = math.log(q)
-    n_asym = log_q / rate if log_q > 0.0 else 1.0
+    n_asym = 1.0
+    if log_q > 0.0:
+        n_asym = log_q / rate if rate > 0.0 else math.inf
+        if not math.isfinite(n_asym):
+            raise ValueError(
+                f"rate {rate!r} is too small: ln(Q) / rate is not finite "
+                f"(ln(Q) = {log_q!r})"
+            )
     n_ceil = max(1.0, math.ceil(n_asym))
     m_split = round(rho * n_ceil)
     return n_asym, {

@@ -186,13 +186,15 @@ def log_sum_rows(
             total = total * np.exp(top - new_top) + np.exp(lt - new_top[:, None]).sum(axis=1)
             top = new_top
         # the bound test as e <= 1e-14 sum (e^-d - 1): where an edge still
-        # rises (d >= 0), a log-concave row peaks there, so e = 1 fails it
+        # rises (d >= 0), a log-concave row peaks there, so e = 1 fails it.
+        # -d is clamped at 700 so that expm1 stays finite; the right side is
+        # then at least 1e-14 e^700 > 1 >= e, so no decision changes
         bound = _REL_TOL * total
         edge = lt[:, -1]
-        done = np.exp(edge - top) <= bound * np.expm1(lt[:, -2] - edge)
+        done = np.exp(edge - top) <= bound * np.expm1(np.minimum(lt[:, -2] - edge, 700.0))
         if k0 > 0:
             edge = head[:, 0]
-            done &= np.exp(edge - top) <= bound * np.expm1(head[:, 1] - edge)
+            done &= np.exp(edge - top) <= bound * np.expm1(np.minimum(head[:, 1] - edge, 700.0))
         if done.all():
             return top + np.log(total)
         h *= 2

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pfdr_sizer import mc_verify
-from pfdr_sizer.cli import _flatten, _to_json, main, parse_config
+from pfdr_sizer.cli import _OUTCOMES, _flatten, _to_json, main, parse_config
 
 PLAN_F_ARGS = [
     "plan-f", "--alpha", "0.05", "--pi", "0.1", "--delta", "1", "--p", "10000",
@@ -307,6 +308,20 @@ class TestFailureStatuses:
         assert err == ""
         assert json.loads(out)["status"] == "not-attainable"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["plan-f", "--delta", "1e-156", "--p", "3"],
+            ["plan-t-mixture", "--atoms", "1:1", "--scale", "1e-320"],
+        ],
+    )
+    def test_steep_series_edge_is_not_attainable_without_warning(self, capsys, argv):
+        # consecutive log terms differ by more than 709 at the window's edge,
+        # where expm1 of the difference used to overflow
+        code, out, err = _run(capsys, argv + ["--alpha", "0.05", "--pi", "0.1"])
+        assert (code, err) == (1, "")
+        assert json.loads(out)["status"] == "not-attainable"
+
     def test_degenerate_scenario_exit_one(self, capsys):
         code, out, _ = _run(
             capsys,
@@ -523,6 +538,32 @@ class TestUsageErrors:
         assert out == ""
         assert "outside the derivative range" in err
 
+    @pytest.mark.parametrize(
+        "args,tag",
+        [
+            ("--family uniform --u 0.6", "uniform(width=1)"),
+            ("--family gamma --shape 2 --u -3", "gamma(shape=2,scale=1)"),
+        ],
+    )
+    def test_slope_outside_the_range_names_slope_and_family(self, capsys, args, tag):
+        code, out, err = _run(capsys, ["ldp-info", *args.split()])
+        assert (code, out) == (2, "")
+        assert "slope u = " in err
+        assert f"outside the derivative range of the cgf ({tag})" in err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            "plan-general --family normal --effect 1e-320 --rho 0.5",
+            "plan-score --family gamma-score --effect 1e-320 --rho 0.5",
+            "plan-general --family gamma --shape 1e300 --effect 1e-300 --rho 0.5",
+        ],
+    )
+    def test_rate_too_small_to_plan(self, capsys, args):
+        code, out, err = _run(capsys, args.split() + ["--alpha", "0.05", "--pi", "0.1"])
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error: rate \S+ is too small: .*\n", err)
+
     def test_invalid_alpha(self, capsys):
         code, _, err = _run(
             capsys, ["plan-t", "--alpha", "1.5", "--pi", "0.1", "--snr", "0.1"]
@@ -619,6 +660,32 @@ class TestConfigFile:
         direct = parse_config(argv)
         echoed = parse_config(["plan-f", "--config", str(cfg)])
         assert direct == echoed
+
+
+class TestReadme:
+    # the README's CLI section: its example block and its list of statuses
+    CLI = (
+        (Path(__file__).resolve().parents[1] / "README.md")
+        .read_text()
+        .split("\n## CLI\n", 1)[1]
+        .split("\n## ", 1)[0]
+    )
+    EXAMPLES = [
+        shlex.split(line)
+        for line in CLI.split("```")[1].replace("\\\n", " ").splitlines()
+        if line.strip()
+    ]
+
+    @pytest.mark.parametrize("argv", EXAMPLES, ids=[argv[1] for argv in EXAMPLES])
+    def test_example_runs(self, capsys, argv):
+        assert argv[0] == "pfdr-sizer"
+        code, out, err = _run(capsys, argv[1:])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["status"] == "ok"
+
+    def test_statuses_are_the_outcome_table(self):
+        listed = re.findall(r"^- `([a-z-]+)`:", self.CLI, re.MULTILINE)
+        assert sorted(listed) == sorted(status for status, _, _ in _OUTCOMES.values())
 
 
 class TestEntryPoint:

@@ -490,6 +490,25 @@ class TestPlanners:
                 target, make_score_model("gamma-score"), SplitSpec(rho=0.5), theta=-1.0
             )
 
+    @pytest.mark.parametrize(
+        "family,params,effect",
+        [
+            ("normal", {}, 1e-320),
+            ("gamma-score", {}, 1e-320),
+            ("gamma", {"shape": 1e300}, 1e-300),
+        ],
+    )
+    def test_rate_too_small_to_plan_is_refused(self, family, params, effect):
+        # ln(Q) / rate overflows to inf, or the rate itself underflows to 0
+        target = PfdrTarget(alpha=0.05, pi=0.1)
+        split = SplitSpec(rho=0.5)
+        with pytest.raises(ValueError, match=r"rate .* is too small"):
+            if family.endswith("-score"):
+                n_star_score(target, make_score_model(family, **params), split, effect)
+            else:
+                cgf, tail = make_family(family, **params)
+                n_star_general(target, cgf, tail, split, effect)
+
 
 class TestPfdrFloor:
     def test_zero_growth_gives_prior_odds(self):
