@@ -9,8 +9,13 @@ one-sided rejection regions, is
     A = (n + p) delta^2 / 2,
     b_{p,n,k} = prod_{j<k} (n + p + 2j) / (p + 2j),
 
-increasing in n and delta.  Three large-sample approximations cover the
-parameter space, selected by where (delta, p) sits:
+increasing in n and delta.  Its terms peak at one mode (_f_mode).  Below
+mode _SHORT_MODE, K is summed from k = 0 in plain floats by the exact term
+ratio A (n + p + 2k) / ((k + 1)(p + 2k)); from it on, over a numpy window
+around the mode, and numpy is imported only then.
+
+Three large-sample approximations cover the parameter space, selected by
+where (delta, p) sits:
 
   * mgf inversion      n ~ M_p^{-1}(Q) / delta        (delta -> 0, p moderate)
   * quadratic root     the positive root of the uniform small-delta
@@ -31,8 +36,8 @@ from typing import TYPE_CHECKING, Callable
 if TYPE_CHECKING:
     import numpy as np
 
-from .numerics import _MAX_CHUNK_CELLS, exp_or_inf, find_root_increasing, log_sum_rows
-from .numerics import log_factorials
+from .numerics import _MAX_CHUNK_CELLS, _REL_TOL, exp_or_inf, find_root_increasing
+from .numerics import log_factorials, log_sum_rows
 from .pfdr_core import DEFAULT_N_MAX, LrSupCurve, PfdrTarget, PlanReport, min_n_search
 
 __all__ = [
@@ -82,16 +87,45 @@ def _f_mode(p: int, n: int, a: float) -> float:
     return max(0.0, (root - b) / 4.0 if b <= 0.0 else -2.0 * c / (b + root))
 
 
-def _log_k(p: int, n: int, delta: float) -> float:
-    """log K, summed by log_sum_rows as one row over a window around _f_mode.
+# below this mode K is summed from k = 0 in plain floats, from it on over a
+# numpy window.  On 2 cores the plain sum took 9 us per evaluation at modes
+# under 10 against 50 us for the window, was about even from 150 to 300, and
+# the exact-plans workload ran fastest with the switch here (CHANGES.md)
+_SHORT_MODE = 200.0
 
-    log b_{p,n,k0} is a pairwise sum of log1p(n / (p + 2j)) over j < k0, by
-    blocks, carried through each chunk as a running sum; log k! is sliced
-    from the shared table of numerics.log_factorials.
+
+def _log_k(p: int, n: int, delta: float) -> float:
+    """log K: from k = 0 below _SHORT_MODE, else by log_sum_rows as one row.
+
+    Below _SHORT_MODE term k + 1 is term k times A (n + p + 2k) /
+    ((k + 1)(p + 2k)), from term 0 = 1.  The ratios fall, so past the mode
+    the terms cut after term e with next ratio q < 1 sum to at most
+    e q / (1 - q), and the sum stops once that is at most _REL_TOL of it,
+    the window's rule.  There log K + A stays under 2 (mode + 1), its value
+    at p = 1 as n grows, where the series tends to cosh, so no term nears
+    float range.
+
+    In the window, log b_{p,n,k0} is a pairwise sum of log1p(n / (p + 2j))
+    over j < k0, by blocks, carried through each chunk as a running sum;
+    log k! is sliced from the shared table of numerics.log_factorials.
     """
     a = 0.5 * (n + p) * delta * delta
     if a == 0.0:  # delta = 0, or A underflowed: K = 1
         return 0.0
+    mode = _f_mode(p, n, a)
+    if mode < _SHORT_MODE:
+        total = term = 1.0
+        # exact integers in floats: u = n + p + 2k, v = p + 2k, j = k + 1
+        u, v, j = float(n + p), float(p), 1.0
+        while True:
+            q = a * u / (j * v)
+            if q < 1.0 and term * q <= _REL_TOL * total * (1.0 - q):
+                return -a + math.log(total)
+            term *= q
+            total += term
+            u += 2.0
+            v += 2.0
+            j += 1.0
     import numpy as np
 
     log_a, block = math.log(a), _MAX_CHUNK_CELLS
@@ -106,7 +140,6 @@ def _log_k(p: int, n: int, delta: float) -> float:
         lbs = np.cumsum(np.concatenate(([lb], step[:-1])))
         return (lbs + k * log_a - log_factorials(k1)[k0:k1])[None, :]
 
-    mode = _f_mode(p, n, a)
     return -a + float(log_sum_rows(chunk, mode, mode)[0])
 
 

@@ -917,7 +917,7 @@ def _integer_plan(q: float, rate: float, rho: float) -> tuple[float, dict[str, f
                 f"rate {rate!r} is too small: ln(Q) / rate is not finite "
                 f"(ln(Q) = {log_q!r})"
             )
-    n_ceil = max(1.0, math.ceil(n_asym))
+    n_ceil = float(max(1, math.ceil(n_asym)))
     m_split = round(rho * n_ceil)
     return n_asym, {
         "log_q": log_q,

@@ -58,6 +58,7 @@ from .ldp_engine import (
     SHIFT_FAMILIES,
     CgfModel,
     legendre,
+    normal_score_model,
 )
 
 __all__ = [
@@ -173,9 +174,14 @@ class SimScenario:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         # a required parameter left out raises in kwargs
-        for key, value in FAMILIES[self.family].kwargs(self.params).items():
+        params = FAMILIES[self.family].kwargs(self.params)
+        for key, value in params.items():
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{key} must be positive and finite, got {value!r}")
+        # the normal-score sampler divides by sigma^2: refuse, as its model
+        # does, a sigma whose square leaves float range
+        if self.family == "normal-score":
+            normal_score_model(**params)
 
 
 @dataclass(frozen=True)

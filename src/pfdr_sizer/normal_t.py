@@ -11,7 +11,9 @@ statistic has the closed series form
 
 which is increasing in both n and r, so the minimum n with L(n, r) >= Q is
 found by the generic curve search.  For large n the plan behaves like
-n ~ ln(Q) / r.
+n ~ ln(Q) / r.  L is summed from k = 0 in plain floats by its exact term
+ratio, term k + 2 = term k d^2 (n + k + 1) / ((k + 1)(k + 2)), in two
+parity chains, so a t plan loads no numpy.
 
 Mixtures over r (a prior G on the signal-to-noise ratio, discretized to
 atoms) average L over the atoms, and the large-n plan solves
@@ -22,17 +24,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     import numpy as np
 
 from .numerics import (
+    _MAX_TERMS,
+    _REL_TOL,
     RootBracketError,
+    SeriesDivergenceError,
+    _budget_error,
     exp_or_inf,
     find_root_increasing,
     log_sum_rows,
-    log_sum_series,
 )
 from .pfdr_core import DEFAULT_N_MAX, LrSupCurve, PfdrTarget, PlanReport, min_n_search
 
@@ -102,26 +107,81 @@ class SnrMixture:
             raise ValueError(f"atom weights must sum to 1, got {total!r}")
 
 
-def _log_terms_t(n: int, log_sqrt2_d: float) -> Iterator[float]:
-    """Log terms of sum_k a_{n,k} (sqrt(2) d)^k / k! via the gamma recurrence."""
-    la = 0.0  # log a_{n,k}, starting at k = 0
-    lg_prev = math.lgamma(0.5 * (n + 1))
-    k = 0
-    while True:
-        yield la + k * log_sqrt2_d - math.lgamma(k + 1)
-        k += 1
-        lg_next = math.lgamma(0.5 * (n + k + 1))
-        la += lg_next - lg_prev
-        lg_prev = lg_next
+# the running sum moves to the next scale 2^800 lower once it passes 2^800.
+# While the mode is under term 10^6, d^2 and d^2 n are under 10^12, so a step
+# multiplies a term by less than 2^40 and no term overflows between checks
+_RESCALE_AT = 2.0**800
+_LOG_RESCALE = 800.0 * math.log(2.0)
+
+
+def _t_mode(n: int, d2: float) -> float:
+    """Where the t series' terms peak: (d^2 + sqrt(d^4 + 4 d^2 n)) / 2 - 1.
+
+    inf once d^4 overflows, so a comparison with the term budget still holds.
+    """
+    return 0.5 * (d2 + math.sqrt(d2 * d2 + 4.0 * d2 * n)) - 1.0
+
+
+def _gamma_half_ratio(x: float) -> float:
+    """Gamma(x + 1/2) / Gamma(x) for x >= 1.
+
+    math.gamma up to x = 30, then sqrt(x) exp(s) with s the Stirling series
+    of the log ratio, -1/(8x) + 1/(192x^3) - 1/(640x^5) + 17/(14336x^7),
+    whose next term is below 1e-16 there.  lgamma differences would lose
+    eps lgamma(x), 1e-9 at x = 5e5.
+    """
+    if x < 30.0:
+        return math.gamma(x + 0.5) / math.gamma(x)
+    w = 1.0 / (x * x)
+    s = -0.125 + w * (1.0 / 192.0 + w * (-1.0 / 640.0 + w * (17.0 / 14336.0)))
+    return math.sqrt(x) * math.exp(s / x)
 
 
 def _log_l(n: int, r: float) -> float:
+    """log L(n, r), summed from k = 0 by exact term ratios in plain floats.
+
+    Term k + 2 is term k times d^2 (n + k + 1) / ((k + 1)(k + 2)), so the
+    even terms run from 1 and the odd ones from
+    sqrt(2) d Gamma((n + 2)/2) / Gamma((n + 1)/2), a pair per step.  The
+    terms rise to one mode and fall; the sum stops at the first pair past
+    it whose last term is at most _REL_TOL of the sum, and a series whose
+    mode, or whose stop, lies past term _MAX_TERMS raises
+    SeriesDivergenceError.
+    """
     if r == 0.0:
         return 0.0
     d = math.sqrt(n + 1.0) * r
-    return -0.5 * d * d + log_sum_series(
-        _log_terms_t(n, 0.5 * math.log(2.0) + math.log(d))
-    )
+    d2 = d * d
+
+    def diverged() -> SeriesDivergenceError:
+        k = _MAX_TERMS - 1
+        log_a = math.lgamma(0.5 * (n + k + 1.0)) - math.lgamma(0.5 * (n + 1.0))
+        log_x = 0.5 * math.log(2.0) + math.log(d)
+        return _budget_error(log_a + k * log_x - math.lgamma(k + 1.0))
+
+    if not _t_mode(n, d2) < _MAX_TERMS:
+        raise diverged()
+    odd = math.sqrt(2.0) * d * _gamma_half_ratio(0.5 * (n + 1.0))
+    even = 0.5 * d2 * (n + 1.0)
+    total, rescales = 1.0, 0
+    # exact integers in floats: m = n + k + 1 and j = k + 1 for the odd k
+    m, j = n + 2.0, 2.0
+    while True:
+        # terms k (odd) and k + 1 (even) join the sum
+        total += odd + even
+        if even <= _REL_TOL * total and even < odd:
+            return -0.5 * d2 + math.log(total) + rescales * _LOG_RESCALE
+        if total > _RESCALE_AT:
+            total, odd, even = total / _RESCALE_AT, odd / _RESCALE_AT, even / _RESCALE_AT
+            rescales += 1
+        j1 = j + 1.0
+        odd *= d2 * m / (j * j1)
+        m += 1.0
+        j += 2.0
+        even *= d2 * m / (j1 * j)
+        m += 1.0
+        if j > _MAX_TERMS:
+            raise diverged()
 
 
 def log_lr_sup_t(n: int, r: float) -> float:
@@ -208,8 +268,7 @@ def lr_sup_t_mixture(n: int, mixture: SnrMixture) -> float:
 
     def mode(atom: tuple[float, float]) -> float:
         d = math.sqrt(n + 1.0) * mixture.scale * atom[0]
-        d2 = d * d
-        return 0.5 * (d2 + math.sqrt(d2 * d2 + 4.0 * d2 * n)) - 1.0
+        return _t_mode(n, d * d)
 
     atoms = mixture.atoms
     sums = log_sum_rows(chunk, mode(min(atoms)), mode(max(atoms)), len(atoms))

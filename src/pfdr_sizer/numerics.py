@@ -5,16 +5,20 @@ numpy sibling that sums many such series at once, one overflow guard, and a
 monotone root finder that grows its own bracket and polishes the root with
 Brent's method.
 
-The series summators are the workhorse: every likelihood-ratio supremum in
-this package is a Poisson-type series whose terms rise to a single mode and
-then decay, and whose magnitude can exceed float range.  Both return the log
-of the sum, so no sum overflows, and both raise SeriesDivergenceError rather
-than pass term 10^6.  log_sum_series adds one series from k = 0 term by term
-with compensated addition against a scale that moves only when a term would
-otherwise overflow; log_sum_rows sums many log-concave series over one numpy
-window around their modes, so its cost grows with the mode's square root.
-exp_or_inf turns such a log back into a value, inf once it passes float
-range; sum_series is the two composed.
+Every likelihood-ratio supremum in this package is a Poisson-type series
+whose terms rise to a single mode and then decay, and whose magnitude can
+exceed float range.  Each kernel returns the log of its sum, so no sum
+overflows, and raises SeriesDivergenceError rather than pass term 10^6
+(_budget_error words it).  The t kernel and F below its crossover sum from
+k = 0 by their exact term ratios in plain floats, in normal_t and f_test.
+log_sum_rows sums the rest, F's long rows and the t-mixture's rows, over
+one numpy window around their modes, so its cost grows with the mode's
+square root.  log_sum_series adds one series from k = 0 term by term with
+compensated addition against a scale that moves only when a term would
+otherwise overflow; no planner calls it or sum_series any more, and the
+test oracles and the benchmark's tracer do.  exp_or_inf turns a log back
+into a value, inf once it passes float range; sum_series is the two
+composed.
 
 The special functions the kernels need are here too, in plain floats: a
 cached table of log k!, log I0 with I1 / I0, digamma and trigamma.
@@ -68,9 +72,17 @@ class RootBracketError(RuntimeError):
 
 # series truncation: the sums stop at _REL_TOL relative to the partial sum,
 # and a series that needs a term past index _MAX_TERMS raises
-# SeriesDivergenceError; both are read at call time
+# SeriesDivergenceError; this module reads both at call time
 _REL_TOL = 1e-14
 _MAX_TERMS = 1_000_000
+
+
+def _budget_error(last_log_term: float) -> SeriesDivergenceError:
+    """The error of a series cut at the term budget, naming its last log term."""
+    return SeriesDivergenceError(
+        f"no truncation after {_MAX_TERMS} terms "
+        f"(last log term {last_log_term:.6g}, rel_tol {_REL_TOL:g})"
+    )
 
 
 def _accumulate(log_terms: Iterable[float]) -> tuple[float, float]:
@@ -93,10 +105,7 @@ def _accumulate(log_terms: Iterable[float]) -> tuple[float, float]:
     for lt in log_terms:
         count += 1
         if count > max_terms:
-            raise SeriesDivergenceError(
-                f"no truncation after {max_terms} terms "
-                f"(last log term {lt:.6g}, rel_tol {rel_tol:g})"
-            )
+            raise _budget_error(lt)
         if lt < prev_lt:
             past_mode = True
         prev_lt = lt
@@ -198,11 +207,7 @@ def log_sum_rows(
         if done.all():
             return top + np.log(total)
         h *= 2
-    last = chunk(_MAX_TERMS - 1, _MAX_TERMS)
-    raise SeriesDivergenceError(
-        f"no truncation after {_MAX_TERMS} terms "
-        f"(last log term {last.max():.6g}, rel_tol {_REL_TOL:g})"
-    )
+    raise _budget_error(float(chunk(_MAX_TERMS - 1, _MAX_TERMS).max()))
 
 
 _log_factorial_table: np.ndarray | tuple[()] = ()

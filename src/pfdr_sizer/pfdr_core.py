@@ -97,13 +97,22 @@ def q_threshold(alpha: float, pi: float) -> float:
     """Density-ratio level the statistic must reach for pFDR <= alpha.
 
     Q = (1 - alpha)(1 - pi) / (alpha * pi).  Always > 1 when alpha + pi < 1,
-    equal to 1 when alpha + pi = 1.
+    equal to 1 when alpha + pi = 1.  Raises ValueError when alpha * pi
+    underflows to 0 or Q overflows, since no plan can be read from an
+    infinite Q.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
     if not 0.0 < pi < 1.0:
         raise ValueError(f"pi must be in (0, 1), got {pi!r}")
-    return (1.0 - alpha) * (1.0 - pi) / (alpha * pi)
+    odds = alpha * pi
+    q = (1.0 - alpha) * (1.0 - pi) / odds if odds > 0.0 else math.inf
+    if q == math.inf:
+        raise ValueError(
+            f"alpha = {alpha!r} and pi = {pi!r} are too small: "
+            f"Q = (1 - alpha)(1 - pi) / (alpha pi) overflows"
+        )
+    return q
 
 
 def min_pfdr(pi: float, rho: float) -> float:

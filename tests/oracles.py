@@ -8,8 +8,9 @@ ratio on a grid and locate the supremum by brute force.  The two series
 oracles are the exception: they sum the package's own series one Python
 term at a time with log_sum_series, from k = 0, so they check the numpy
 summation, its window and its vectorised term recurrences rather than the
-series formulas.  log_lr_sup_f_hyp1f1 checks the F formula itself, and
-the other mpmath oracles the special functions, at 50 digits.
+series formulas.  log_lr_sup_f_hyp1f1 checks the F formula itself,
+log_lr_sup_t_integral the t formula through its integral form, and the
+other mpmath oracles the special functions, at 50 digits.
 """
 
 from __future__ import annotations
@@ -134,6 +135,38 @@ def log_lr_sup_f_hyp1f1(p: int, n: int, delta: float) -> float:
         a = mpmath.mpf(n + p) * mpmath.mpf(delta) ** 2 / 2
         k = mpmath.hyp1f1(mpmath.mpf(n + p) / 2, mpmath.mpf(p) / 2, a, maxterms=10**7)
         return float(mpmath.log(k) - a)
+
+
+def log_lr_sup_t_integral(n: int, r: float) -> float:
+    """log L(n, r) from its integral form, by mpmath quadrature at 50 digits.
+
+    Writing Gamma((n + k + 1)/2) as an integral over s = u^2 / 2 and summing
+    the exponential series under it gives
+
+        L = e^{-d^2/2} 2^{-(n-1)/2} / Gamma((n+1)/2) int_0^inf u^n e^{-u^2/2 + d u} du,
+
+    whose integrand peaks at u0 = (d + sqrt(d^2 + 4n)) / 2 with a width of
+    about 1 / sqrt(1 + n / u0^2).  The integrand is taken relative to its
+    peak, so the quadrature sees values near 1 whatever the size of L.
+    """
+    import mpmath
+
+    with mpmath.workdps(50):
+        n = mpmath.mpf(n)
+        d = mpmath.sqrt(n + 1) * mpmath.mpf(r)
+        u0 = (d + mpmath.sqrt(d * d + 4 * n)) / 2
+        width = 1 / mpmath.sqrt(1 + n / (u0 * u0))
+
+        def relative(u):
+            return mpmath.exp(n * mpmath.log(u / u0) - (u * u - u0 * u0) / 2 + d * (u - u0))
+
+        cuts = [u0 + k * width for k in (-40, -10, 0, 10, 40) if u0 + k * width > 0]
+        integral = mpmath.quad(relative, [mpmath.mpf(0), *cuts, mpmath.inf])
+        log_peak = n * mpmath.log(u0) - u0 * u0 / 2 + d * u0
+        return float(
+            -d * d / 2 - (n - 1) / 2 * mpmath.log(2) - mpmath.loggamma((n + 1) / 2)
+            + log_peak + mpmath.log(integral)
+        )
 
 
 def log_m_p_hyp0f1(p: int, t: float) -> float:

@@ -183,6 +183,18 @@ class TestCommands:
         assert report["outputs"]["regime"] == "cgf-rate"
         assert report["outputs"]["n_asymptotic"] > 1.0
 
+    def test_huge_plan_prints_its_ceiling_as_a_float(self, capsys):
+        argv = [
+            "plan-general", "--alpha", "0.05", "--pi", "0.1", "--family", "normal",
+            "--effect", "1e-300", "--rho", "0.5",
+        ]
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        assert '"n_ceiling": 1.0283327113005319e+301,' in out
+        code, out, _ = _run(capsys, argv[:-3] + ["0.3", "--rho", "0.4"])
+        assert code == 0
+        assert '"n_ceiling": 35,' in out
+
     def test_plan_score(self, capsys):
         code, out, _ = _run(
             capsys,
@@ -564,6 +576,31 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert re.fullmatch(r"error: rate \S+ is too small: .*\n", err)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            "plan-t --alpha 0.05 --pi 1e-320 --snr 1",
+            "plan-f --alpha 0.05 --pi 1e-320 --delta 1 --p 3",
+            "plan-t-mixture --alpha 0.05 --pi 1e-320 --atoms 1:1",
+            "plan-t --alpha 1e-12 --pi 1e-320 --snr 1",
+        ],
+    )
+    def test_q_beyond_float_range(self, capsys, args):
+        code, out, err = _run(capsys, args.split())
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error: alpha = \S+ and pi = 1e-320 are too small: .*\n", err)
+
+    def test_normal_score_sigma_beyond_float_range(self, capsys):
+        code, out, err = _run(
+            capsys,
+            [
+                "simulate", "--family", "normal-score", "--sigma", "1e-320", "--n", "5",
+                "--m", "5", "--trials", "2", "--z0", "0.5",
+            ],
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: sigma = 1e-320: too small, sigma^2 underflows\n"
+
     def test_invalid_alpha(self, capsys):
         code, _, err = _run(
             capsys, ["plan-t", "--alpha", "1.5", "--pi", "0.1", "--snr", "0.1"]
@@ -701,15 +738,20 @@ class TestEntryPoint:
 
 
 # fresh CLI processes, one or more per subcommand, with whether they load
-# numpy: only simulate and the F and mixture series need it, the rest run on
-# math alone.  The library imports no scipy (TestScipyFree reads its source),
-# so these also show that no other package a command loads pulls scipy in
+# numpy: only simulate, the mixture series and F series whose mode reaches
+# the numpy window need it, the rest run on math alone.  The library imports
+# no scipy (TestScipyFree reads its source), so these also show that no
+# other package a command loads pulls scipy in
 SCIPY_FREE = {
     "plan-t": (0, False, ["plan-t", "--alpha", "0.05", "--pi", "0.1", "--snr", "0.01"]),
     "plan-t-not-attainable": (1, False, [
         "plan-t", "--alpha", "0.05", "--pi", "0.1", "--snr", "0.01", "--n-max", "10",
     ]),
     "plan-f": (0, True, PLAN_F_ARGS),
+    # every mode this search meets lies below f_test._SHORT_MODE
+    "plan-f-short-window": (0, False, [
+        "plan-f", "--alpha", "0.05", "--pi", "0.1", "--delta", "0.3", "--p", "10",
+    ]),
     "plan-t-mixture": (0, True, [
         "plan-t-mixture", "--alpha", "0.05", "--pi", "0.1",
         "--atoms", "1:0.5,2:0.5", "--scale", "0.01",

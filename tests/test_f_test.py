@@ -187,6 +187,10 @@ class TestPlanF:
         assert report.n_exact == 1
         assert report.n_asymptotic == 1.0
 
+    def test_q_beyond_float_range_is_refused(self):
+        with pytest.raises(ValueError, match="alpha = 0.05 and pi = 1e-320"):
+            plan_f(PfdrTarget(alpha=0.05, pi=1e-320), FEffect(delta=1.0, p=3))
+
     def test_all_three_rates_reported(self):
         report = plan_f(PfdrTarget(alpha=0.05, pi=0.1), FEffect(delta=0.5, p=10))
         d = report.diagnostics

@@ -4,9 +4,12 @@ The oracles in oracles.py sum the same series one Python term at a time:
 log_lr_sup_f_series is the F kernel the numpy summator replaced, and
 lr_sup_t_mixture_by_atom averages the scalar t kernel atom by atom.  The
 t and F suprema are also checked to be nondecreasing in n and in the
-effect, and to agree with their log-domain variants.  The last test checks
-that the planners built on these kernels return the smallest n whose
-density-ratio supremum reaches Q.
+effect, and to agree with their log-domain variants.  log_lr_sup_t is
+checked against a 50-digit quadrature of its integral form, and F on both
+sides of the mode where it leaves its plain-float sum for the numpy window,
+in value and in monotonicity.  The last test checks that the planners built
+on these kernels return the smallest n whose density-ratio supremum
+reaches Q.
 """
 
 import math
@@ -14,10 +17,11 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from pfdr_sizer import f_test
 from pfdr_sizer.f_test import FEffect, log_lr_sup_f, lr_sup_f, m_p, plan_f
 from pfdr_sizer.normal_t import (
     SnrEffect,
@@ -87,6 +91,55 @@ def test_log_lr_sup_f_against_hypergeometric(p, n, delta):
     assert abs(got - expected) <= abs(from_zero - expected) + floor
 
 
+def _f_delta_at_mode(p: int, n: int, mode: float) -> float:
+    """The delta at which K(p, n, delta)'s terms peak at the given mode.
+
+    The mode solves A (n + p + 2k) = (k + 1)(p + 2k) with A = (n + p) delta^2 / 2.
+    """
+    return math.sqrt(2.0 * (mode + 1.0) * (p + 2.0 * mode) / ((n + p) * (n + p + 2.0 * mode)))
+
+
+# just below and above the mode where F leaves its plain-float sum for the
+# numpy window, at one end of p and n and the other
+@pytest.mark.parametrize("side", [0.98, 1.02])
+@pytest.mark.parametrize("p,n", [(1, 3), (3, 400), (40, 60), (500, 10_000), (100_000, 7)])
+def test_log_lr_sup_f_across_the_window_switch(p, n, side):
+    delta = _f_delta_at_mode(p, n, side * f_test._SHORT_MODE)
+    a = 0.5 * (n + p) * delta * delta
+    assert (f_test._f_mode(p, n, a) < f_test._SHORT_MODE) == (side < 1.0)
+    expected = oracles.log_lr_sup_f_hyp1f1(p, n, delta)
+    got = log_lr_sup_f(p, n, delta)
+    # the bound of test_log_lr_sup_f_against_hypergeometric
+    scale = max(1.0, abs(expected))
+    floor = EPS * (a * math.log(max(a, math.e)) + 8.0 * scale)
+    assert abs(got - expected) <= 1e-11 * scale + floor
+
+
+@given(
+    n=log_uniform_int(1, 1_000_000),
+    r=log_uniform(1e-4, 10.0),
+)
+@example(n=10, r=0.5)
+@example(n=5000, r=0.01)
+@example(n=5000, r=0.05)
+@example(n=100_000, r=0.003)
+@example(n=1_000_000, r=0.001)
+@example(n=1_000_000, r=0.003)
+@example(n=7, r=100.0)  # L = 7564455036249869.69 to 40 digits
+@example(n=1, r=1e-4)
+def test_log_lr_sup_t_against_integral(n, r):
+    d = math.sqrt(n + 1.0) * r
+    d2 = d * d
+    # within the term budget: the series' mode lies well before term 10^6
+    assume(0.5 * (d2 + math.sqrt(d2 * (d2 + 4.0 * n))) < 900_000)
+    expected = oracles.log_lr_sup_t_integral(n, r)
+    got = log_lr_sup_t(n, r)
+    # log L is the log of a sum near e^{d^2/2} less d^2/2, so it cancels by
+    # up to about 16 eps d^2/2 where d^2 dominates n
+    tol = 1e-12 * max(1.0, abs(expected)) + 16.0 * EPS * 0.5 * d2
+    assert abs(got - expected) <= tol
+
+
 def _random_atoms(atoms: int, seed: int) -> tuple[tuple[float, float], ...]:
     """(r, w) pairs with r uniform on [0.05, 2] and Dirichlet weights."""
     rng = np.random.default_rng(seed)
@@ -154,6 +207,27 @@ SLACK = 1e-12
 def test_lr_sup_f_nondecreasing_in_n(p, n, step, delta):
     low, high = lr_sup_f(p, n, delta), lr_sup_f(p, n + step, delta)
     assert high >= low * (1.0 - SLACK)
+
+
+@given(
+    p=log_uniform_int(1, 100_000),
+    n=log_uniform_int(1, 100_000),
+    step=st.integers(1, 1000),
+    where=st.floats(0.0, 1.0, exclude_max=True),
+)
+@example(p=1, n=1, step=1, where=0.0)
+@example(p=3, n=400, step=1, where=0.5)
+@example(p=100_000, n=7, step=1000, where=0.99)
+def test_log_lr_sup_f_nondecreasing_across_the_window_switch(p, n, step, where):
+    # a delta at which the mode passes the switch between n and n + step
+    lo = _f_delta_at_mode(p, n + step, f_test._SHORT_MODE)
+    hi = _f_delta_at_mode(p, n, f_test._SHORT_MODE)
+    delta = lo + where * (hi - lo)
+    below = f_test._f_mode(p, n, 0.5 * (n + p) * delta * delta)
+    above = f_test._f_mode(p, n + step, 0.5 * (n + step + p) * delta * delta)
+    assume(below < f_test._SHORT_MODE <= above)
+    low, high = log_lr_sup_f(p, n, delta), log_lr_sup_f(p, n + step, delta)
+    assert high >= low + math.log1p(-SLACK)
 
 
 @given(

@@ -433,6 +433,15 @@ class TestPlanners:
         # the floor at the planned (integer) size cannot exceed the target
         assert d["pfdr_floor_at_plan"] <= 0.05 + 1e-12
 
+    def test_ceiling_is_a_float(self):
+        target = PfdrTarget(alpha=0.05, pi=0.1)
+        cgf, tail = make_family("normal", sigma=1.0)
+        split = SplitSpec(rho=0.5)
+        for d, ceiling in ((0.1, 103.0), (1e-300, 1.0283327113005319e301)):
+            diagnostics = n_star_general(target, cgf, tail, split, d).diagnostics
+            assert all(type(value) is float for value in diagnostics.values())
+            assert diagnostics["n_ceiling"] == ceiling
+
     def test_floor_equals_alpha_at_fractional_plan(self):
         target = PfdrTarget(alpha=0.05, pi=0.1)
         cgf, tail = make_family("normal", sigma=1.0)

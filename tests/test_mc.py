@@ -96,6 +96,18 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match=field):
             SimScenario(**kwargs)
 
+    def test_normal_score_sigma_beyond_float_range(self):
+        # the sampler divides by sigma^2; the other families keep their checks
+        with pytest.raises(ValueError, match="sigma = 1e-320: too small"):
+            SimScenario(
+                family="normal-score", effect=0.1, pi=0.5, n=5, m=5,
+                schedule=_fixed(0.5), trials=2, seed=0, params={"sigma": 1e-320},
+            )
+        SimScenario(
+            family="normal", effect=0.1, pi=0.5, n=5, m=5,
+            schedule=_fixed(0.5), trials=2, seed=0, params={"sigma": 1e-320},
+        )
+
 
 class TestDeterminism:
     def _scenario(self, **overrides):

@@ -1,10 +1,15 @@
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy import optimize, stats
 
 import oracles
+from pfdr_sizer import normal_t, numerics
 from pfdr_sizer.normal_t import (
     MAX_MIXTURE_ATOMS,
     SnrEffect,
@@ -15,7 +20,10 @@ from pfdr_sizer.normal_t import (
     plan_t,
     plan_t_mixture,
 )
+from pfdr_sizer.numerics import SeriesDivergenceError
 from pfdr_sizer.pfdr_core import NotAttainableError, PfdrTarget
+
+EPS = sys.float_info.epsilon
 
 
 class TestLrSupT:
@@ -70,11 +78,42 @@ class TestLrSupT:
         assert log_val > 700.0
         assert lr_sup_t(10_000, 1.0) == math.inf
 
+    # d^2 = 2 r^2 at n = 1: a mode past the budget, or d^2 overflowing,
+    # raises before any term is summed
+    @pytest.mark.parametrize("r", [1e3, 1e160, 1e300])
+    def test_mode_past_the_budget_raises_at_once(self, r):
+        with pytest.raises(SeriesDivergenceError, match="no truncation after 1000000 terms"):
+            log_lr_sup_t(1, r)
+
+    def test_budget_reached_while_summing(self, monkeypatch):
+        # mode near 900, so the tail runs past term 1000
+        monkeypatch.setattr(numerics, "_MAX_TERMS", 1000)
+        monkeypatch.setattr(normal_t, "_MAX_TERMS", 1000)
+        with pytest.raises(SeriesDivergenceError, match="no truncation after 1000 terms"):
+            log_lr_sup_t(1, 21.2)
+        assert math.isfinite(log_lr_sup_t(1, 10.0))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             lr_sup_t(0, 0.5)
         with pytest.raises(ValueError):
             lr_sup_t(5, -0.1)
+
+
+@given(
+    x=st.one_of(
+        st.integers(1, 2 * 10**7).map(lambda n: 0.5 * (n + 1)),
+        st.floats(0.0, 7.0).map(lambda e: 10.0**e),
+    )
+)
+@example(x=15.727826798370957)  # math.gamma's ratio 23 ulp off
+@example(x=30.0)
+@example(x=5e5)
+def test_gamma_half_ratio_against_mpmath(x):
+    # the t series' first odd term rests on Gamma(x + 1/2) / Gamma(x), x = (n + 1)/2
+    with mpmath.workdps(50):
+        expected = float(mpmath.gamma(mpmath.mpf(x) + 0.5) / mpmath.gamma(x))
+    assert abs(normal_t._gamma_half_ratio(x) - expected) <= 32.0 * EPS * expected
 
 
 class TestPlanT:
@@ -105,6 +144,13 @@ class TestPlanT:
     def test_not_attainable_under_ceiling(self):
         with pytest.raises(NotAttainableError):
             plan_t(PfdrTarget(alpha=0.05, pi=0.1), SnrEffect(r=1e-4), n_max=1000)
+
+    def test_q_beyond_float_range_is_refused(self):
+        target = PfdrTarget(alpha=0.05, pi=1e-320)
+        with pytest.raises(ValueError, match="alpha = 0.05 and pi = 1e-320"):
+            plan_t(target, SnrEffect(r=1.0))
+        with pytest.raises(ValueError, match="alpha = 0.05 and pi = 1e-320"):
+            plan_t_mixture(target, SnrMixture(atoms=((1.0, 1.0),)))
 
 
 class TestMixture:

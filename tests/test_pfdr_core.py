@@ -34,6 +34,14 @@ class TestQThreshold:
         with pytest.raises(ValueError):
             q_threshold(alpha, pi)
 
+    # Q overflows, or alpha * pi underflows to 0
+    @pytest.mark.parametrize("alpha,pi", [(0.05, 1e-320), (1e-12, 1e-320), (1e-160, 1e-160)])
+    def test_q_beyond_float_range_is_refused(self, alpha, pi):
+        with pytest.raises(ValueError, match=rf"alpha = {alpha!r} and pi = {pi!r} are too small"):
+            q_threshold(alpha, pi)
+        with pytest.raises(ValueError, match="overflows"):
+            PfdrTarget(alpha, pi).q()
+
 
 class TestMinPfdr:
     def test_examples(self):
