@@ -13,6 +13,7 @@ import csv
 import io
 import math
 import numbers
+import os
 import sys
 import warnings
 from dataclasses import asdict, dataclass
@@ -679,7 +680,16 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def main_entry() -> None:
-    sys.exit(main(sys.argv[1:]))
+    try:
+        code = main(sys.argv[1:])
+        # flushed here, so that a reader who closed the pipe is caught below
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # as the Python docs' SIGPIPE note does: what Python still flushes
+        # at exit goes to devnull, and the process exits 1, as on EPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -36,8 +36,9 @@ from typing import TYPE_CHECKING, Callable
 if TYPE_CHECKING:
     import numpy as np
 
-from .numerics import _MAX_CHUNK_CELLS, _REL_TOL, exp_or_inf, find_root_increasing
-from .numerics import log_factorials, log_sum_rows
+from .normal_t import _LOG_RESCALE, _RESCALE_AT
+from .numerics import _MAX_CHUNK_CELLS, _MAX_TERMS, _REL_TOL, _budget_error, exp_or_inf
+from .numerics import find_root_increasing, log_factorials, log_sum_rows
 from .pfdr_core import DEFAULT_N_MAX, LrSupCurve, PfdrTarget, PlanReport, min_n_search
 
 __all__ = [
@@ -107,12 +108,19 @@ def _log_k(p: int, n: int, delta: float) -> float:
 
     In the window, log b_{p,n,k0} is a pairwise sum of log1p(n / (p + 2j))
     over j < k0, by blocks, carried through each chunk as a running sum;
-    log k! is sliced from the shared table of numerics.log_factorials.
+    log k! is sliced from the shared table of numerics.log_factorials.  A
+    mode past term _MAX_TERMS raises SeriesDivergenceError before any chunk,
+    its last log term from lgamma, so the table is not built for it.
     """
     a = 0.5 * (n + p) * delta * delta
     if a == 0.0:  # delta = 0, or A underflowed: K = 1
         return 0.0
     mode = _f_mode(p, n, a)
+    if not mode < _MAX_TERMS:
+        # b_{p,n,k} = Gamma(k + (n + p)/2) Gamma(p/2) / (Gamma((n + p)/2) Gamma(k + p/2))
+        k, h, c = _MAX_TERMS - 1, 0.5 * (n + p), 0.5 * p
+        log_b = math.lgamma(k + h) - math.lgamma(h) + math.lgamma(c) - math.lgamma(k + c)
+        raise _budget_error(log_b + k * math.log(a) - math.lgamma(k + 1.0))
     if mode < _SHORT_MODE:
         total = term = 1.0
         # exact integers in floats: u = n + p + 2k, v = p + 2k, j = k + 1
@@ -152,9 +160,8 @@ def log_lr_sup_f(p: int, n: int, delta: float) -> float:
 def lr_sup_f(p: int, n: int, delta: float) -> float:
     """Density-ratio supremum K(p, n, delta) of the noncentral F statistic.
 
-    Equals 1 at delta = 0, is increasing in delta and in n, and is bounded
-    above by exp((n + p)^2 delta^2 / 2).  Returns inf when the true value
-    overflows, which the curve search tolerates.
+    Equals 1 at delta = 0, is increasing in delta and in n, is bounded above
+    by exp((n + p)^2 delta^2 / 2), and is inf past float range.
     """
     _check_f_args(p, n, delta)
     return exp_or_inf(_log_k(p, n, delta))
@@ -179,6 +186,12 @@ def m_p(p: int, t: float) -> float:
     """
     if p < 1:
         raise ValueError(f"p must be a positive integer, got {p!r}")
+    if math.isnan(t):
+        raise ValueError("t must be a number, got nan")
+    # below the mode m (m (m + p/2 - 1) = t^2 / 4) terms 1 to m/2 each at least
+    # double, so M_p > 2^(m/2) is past float range once m reaches 2048
+    if not 0.25 * t * t < 2048.0 * (2047.0 + 0.5 * p):
+        return math.inf
     return exp_or_inf(_log_m_p(p, t))
 
 
@@ -186,31 +199,32 @@ def _log_m_p(p: int, t: float) -> float:
     """log M_p(t): log1p of the float sum of terms k >= 1 of its series.
 
     Term k is term k - 1 times z / (k (k + p/2 - 1)), z = t^2 / 4, and the
-    sum stops at the first term that leaves it unchanged.  Every step rounds
-    monotonically, so the result is nondecreasing in |t|.  The sum overflows
-    only where M_p does; where its largest term alone passes exp(709.79),
-    by lgamma, inf comes back unsummed.
+    sum stops at the first term that leaves it unchanged.  Past 2^800 the
+    sum and the term move exactly to a scale 2^800 lower, so the log stays
+    finite.  Every step rounds monotonically, so the result is nondecreasing
+    in |t| up to the rounding of the final log.  A mode past term
+    _MAX_TERMS raises SeriesDivergenceError.
     """
     z, b1 = 0.25 * t * t, 0.5 * p - 1.0
     if z == 0.0:
         return 0.0
-    # M_p <= M_1 = cosh t: only |t| > 709.78 can overflow (a NaN t raises here)
-    if not abs(t) <= 709.78:
-        if z == math.inf:
-            return math.inf
-        # the largest term is the last whose ratio is >= 1: k (k + b1) <= z
-        mode = math.floor(0.5 * (math.sqrt(b1 * b1 + 4.0 * z) - b1))
-        log_top = mode * math.log(z) - math.lgamma(mode + 1.0) - math.lgamma(mode + b1 + 1.0)
-        if math.lgamma(b1 + 1.0) + log_top > 709.79:
-            return math.inf
-    total, term, k = 0.0, 1.0, 0.0
+    # a mode (k (k + b1) = z) under term 10^6 keeps each step's factor under
+    # about 2 * 10^12 < 2^41, so no term overflows between rescales
+    if not z < _MAX_TERMS * (_MAX_TERMS + b1):
+        k = _MAX_TERMS - 1
+        log_c = math.lgamma(b1 + 1.0) - math.lgamma(k + b1 + 1.0)
+        raise _budget_error(log_c + k * math.log(z) - math.lgamma(k + 1.0))
+    total, term, k, rescales = 0.0, 1.0, 0.0, 0
     while True:
         k += 1.0
         term *= z / (k * (k + b1))
         new = total + term
         if new == total:
-            return math.log1p(total)
+            return math.log(total) + rescales * _LOG_RESCALE if rescales else math.log1p(total)
         total = new
+        if total > _RESCALE_AT:
+            total, term = total / _RESCALE_AT, term / _RESCALE_AT
+            rescales += 1
 
 
 def quadratic_root_n(p: int, delta: float, a: float) -> float:
@@ -225,16 +239,15 @@ def quadratic_root_n(p: int, delta: float, a: float) -> float:
 
 
 def plan_f(target: PfdrTarget, effect: FEffect, n_max: int = DEFAULT_N_MAX) -> PlanReport:
-    """Minimum denominator degrees of freedom n with K(p, n, delta) >= Q.
+    """Minimum denominator degrees of freedom n with log K(p, n, delta) >= ln Q.
 
     Runs the exact curve search from the quadratic root and evaluates all
     three approximations; the one matching the (delta, p) regime is reported
     as n_asymptotic, the rest ride along in diagnostics.
     """
     delta, p = effect.delta, effect.p
-    curve = LrSupCurve(eval=lambda n: lr_sup_f(p, n, delta))
-    q = target.q()
-    a = math.log(q)
+    curve = LrSupCurve(eval=lambda n: log_lr_sup_f(p, n, delta))
+    a = target.log_q()
     # the quadratic root starts the search; it has no meaning for a <= 0,
     # where n = 1 suffices, or when delta^2 underflows and K stays at 1
     n_quad = quadratic_root_n(p, delta, a) if a > 0.0 and delta * delta > 0.0 else 1.0
@@ -270,6 +283,6 @@ def plan_f(target: PfdrTarget, effect: FEffect, n_max: int = DEFAULT_N_MAX) -> P
         n_exact=report.n_exact,
         n_asymptotic=n_asym,
         regime=regime,
-        q_value=q,
+        q_value=report.q_value,
         diagnostics=diagnostics,
     )

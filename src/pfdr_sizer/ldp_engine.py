@@ -613,10 +613,12 @@ def _score_hits(size, n, m, z, side, scores):
 
 
 def _cauchy_score(w: np.ndarray) -> np.ndarray:
-    # 2 w / (1 + w^2) in one new array
+    # 2 w / (1 + w^2) in one new array.  Where w^2 overflows to inf the score
+    # rounds to 0 (the true 2 / w is below 2e-154), so the overflow is silent
     import numpy as np
 
-    s = w * w
+    with np.errstate(over="ignore"):
+        s = w * w
     s += 1.0
     np.divide(w, s, out=s)
     s *= 2.0
@@ -902,13 +904,12 @@ def pfdr_floor_limit(pi: float, rho: float, t_growth: float, t0: float) -> float
     return (1.0 - pi) / ((1.0 - pi) + pi * gain)
 
 
-def _integer_plan(q: float, rate: float, rho: float) -> tuple[float, dict[str, float]]:
+def _integer_plan(log_q: float, rate: float, rho: float) -> tuple[float, dict[str, float]]:
     """N_asymptotic = ln(Q) / rate, and the integer plan's diagnostics.
 
     Raises ValueError when ln(Q) / rate is not finite: a rate that
     underflowed to 0, or one so small that the quotient overflows.
     """
-    log_q = math.log(q)
     n_asym = 1.0
     if log_q > 0.0:
         n_asym = log_q / rate if rate > 0.0 else math.inf
@@ -942,10 +943,9 @@ def n_star_general(
     """
     if not d > 0.0:
         raise ValueError(f"mean shift d must be positive, got {d!r}")
-    q = target.q()
     t0 = solve_t0(cgf, tail, split)
     rho = split.rho
-    n_asym, plan = _integer_plan(q, d * (1.0 - rho) * t0, rho)
+    n_asym, plan = _integer_plan(target.log_q(), d * (1.0 - rho) * t0, rho)
     diagnostics = {
         "t0": t0,
         "lambda_tail": tail.lam,
@@ -959,7 +959,7 @@ def n_star_general(
         n_exact=None,
         n_asymptotic=n_asym,
         regime=REGIME_CGF_RATE,
-        q_value=q,
+        q_value=target.q(),
         diagnostics=diagnostics,
     )
 
@@ -978,7 +978,6 @@ def n_star_score(
     """
     if not theta > 0.0:
         raise ValueError(f"location shift theta must be positive, got {theta!r}")
-    q = target.q()
     t0 = solve_t0(model.cgf, model.tail, split)
     rho = split.rho
     lam1_t0 = model.cgf.lambda_d1(t0)
@@ -988,7 +987,7 @@ def n_star_score(
             f"score rate is not positive (rate={rate!r}); the split or the "
             "model's K_f leaves no usable signal"
         )
-    n_asym, plan = _integer_plan(q, rate, rho)
+    n_asym, plan = _integer_plan(target.log_q(), rate, rho)
     diagnostics = {
         "t0": t0,
         "lambda_prime_t0": lam1_t0,
@@ -1001,7 +1000,7 @@ def n_star_score(
         n_exact=None,
         n_asymptotic=n_asym,
         regime=REGIME_SCORE_RATE,
-        q_value=q,
+        q_value=target.q(),
         diagnostics=diagnostics,
     )
 

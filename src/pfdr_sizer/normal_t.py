@@ -10,8 +10,8 @@ statistic has the closed series form
     d = sqrt(n + 1) * r,   a_{n,k} = Gamma((n+k+1)/2) / Gamma((n+1)/2),
 
 which is increasing in both n and r, so the minimum n with L(n, r) >= Q is
-found by the generic curve search.  For large n the plan behaves like
-n ~ ln(Q) / r.  L is summed from k = 0 in plain floats by its exact term
+found by the generic curve search on log L.  For large n the plan behaves
+like n ~ ln(Q) / r.  L is summed from k = 0 in plain floats by its exact term
 ratio, term k + 2 = term k d^2 (n + k + 1) / ((k + 1)(k + 2)), in two
 parity chains, so a t plan loads no numpy.
 
@@ -47,6 +47,7 @@ __all__ = [
     "lr_sup_t",
     "log_lr_sup_t",
     "lr_sup_t_mixture",
+    "log_lr_sup_t_mixture",
     "plan_t",
     "plan_t_mixture",
     "REGIME_T_RATE",
@@ -193,9 +194,8 @@ def log_lr_sup_t(n: int, r: float) -> float:
 def lr_sup_t(n: int, r: float) -> float:
     """Density-ratio supremum of the t statistic: L(n, r) above.
 
-    Equals 1 at r = 0 and increases without bound in each argument; may
-    return inf when the true value overflows, which the curve search
-    tolerates.
+    Equals 1 at r = 0 and increases without bound in each argument; inf
+    past float range, where log_lr_sup_t stays finite.
     """
     _check_t_args(n, r)
     return exp_or_inf(_log_l(n, r))
@@ -209,14 +209,13 @@ def _check_t_args(n: int, r: float) -> None:
 
 
 def plan_t(target: PfdrTarget, effect: SnrEffect, n_max: int = DEFAULT_N_MAX) -> PlanReport:
-    """Minimum degrees of freedom n with L(n, r) >= Q(alpha, pi).
+    """Minimum degrees of freedom n with log L(n, r) >= ln Q(alpha, pi).
 
     The per-null sample size is n + 1 observations.  n_asymptotic carries the
     large-n rate approximation ln(Q) / r, which also starts the exact search.
     """
-    curve = LrSupCurve(eval=lambda n: lr_sup_t(n, effect.r))
-    q = target.q()
-    log_q = math.log(q)
+    curve = LrSupCurve(eval=lambda n: log_lr_sup_t(n, effect.r))
+    log_q = target.log_q()
     n_rate = log_q / effect.r
     report = min_n_search(curve, target, n_max=n_max, hint=n_rate)
     diagnostics = dict(report.diagnostics)
@@ -230,13 +229,18 @@ def plan_t(target: PfdrTarget, effect: SnrEffect, n_max: int = DEFAULT_N_MAX) ->
         # approximation is floored there for trivially attainable targets
         n_asymptotic=max(1.0, n_rate),
         regime=REGIME_T_RATE,
-        q_value=q,
+        q_value=report.q_value,
         diagnostics=diagnostics,
     )
 
 
 def lr_sup_t_mixture(n: int, mixture: SnrMixture) -> float:
-    """Weighted average of lr_sup_t over the mixture atoms.
+    """Weighted average of lr_sup_t over the mixture atoms; inf past float range."""
+    return exp_or_inf(log_lr_sup_t_mixture(n, mixture))
+
+
+def log_lr_sup_t_mixture(n: int, mixture: SnrMixture) -> float:
+    """log of lr_sup_t_mixture, safe when the average exceeds float range.
 
     All atoms are summed together, one row each: the gamma ratios a_{n,k}
     do not depend on the atom, so each chunk computes them once.  The row of
@@ -274,16 +278,16 @@ def lr_sup_t_mixture(n: int, mixture: SnrMixture) -> float:
     sums = log_sum_rows(chunk, mode(min(atoms)), mode(max(atoms)), len(atoms))
     logs = np.log(w) - 0.5 * d * d + sums
     m = float(logs.max())
-    return exp_or_inf(m + math.log(float(np.exp(logs - m).sum())))
+    return m + math.log(float(np.exp(logs - m).sum()))
 
 
-def _mgf_rate(mixture: SnrMixture, q: float) -> float:
-    """Root a* of log E[exp(a R)] = ln Q; 0 when Q <= 1.
+def _mgf_rate(mixture: SnrMixture, log_q: float) -> float:
+    """Root a* of log E[exp(a R)] = ln Q; 0 when ln Q <= 0.
 
     The log-sum-exp runs in Python: over the few atoms of a typical prior
     it costs less than numpy's per-call overhead.
     """
-    if q <= 1.0:
+    if log_q <= 0.0:
         return 0.0
     atoms = mixture.atoms
     r_top = max(atoms)[0]
@@ -292,7 +296,6 @@ def _mgf_rate(mixture: SnrMixture, q: float) -> float:
     def log_mgf(a: float) -> float:
         return a * r_top + math.log(sum([w * math.exp(a * dr) for dr, w in offsets]))
 
-    log_q = math.log(q)
     return find_root_increasing(log_mgf, log_q, log_q / sum(w * r for r, w in atoms))
 
 
@@ -307,11 +310,11 @@ def plan_t_mixture(
     converges to that expectation, so its inverse is the right large-n rate.
     A point mass reduces both answers to plan_t with r = scale * r_1.
     """
-    curve = LrSupCurve(eval=lambda n: lr_sup_t_mixture(n, mixture))
-    q = target.q()
+    curve = LrSupCurve(eval=lambda n: log_lr_sup_t_mixture(n, mixture))
+    log_q = target.log_q()
     rate_error = None
     try:
-        a_star = _mgf_rate(mixture, q)
+        a_star = _mgf_rate(mixture, log_q)
     except (ValueError, RootBracketError) as exc:
         # raised only after the search, so that a target the curve cannot
         # reach still reports as not attainable
@@ -320,7 +323,7 @@ def plan_t_mixture(
     if rate_error is not None:
         raise rate_error
     diagnostics = dict(report.diagnostics)
-    diagnostics["log_q"] = math.log(q)
+    diagnostics["log_q"] = log_q
     diagnostics["mgf_rate"] = a_star
     diagnostics["n_atoms"] = float(len(mixture.atoms))
     diagnostics["scale"] = mixture.scale
@@ -328,7 +331,7 @@ def plan_t_mixture(
         n_exact=report.n_exact,
         n_asymptotic=a_star / mixture.scale,
         regime=REGIME_T_MIXTURE,
-        q_value=q,
+        q_value=report.q_value,
         diagnostics=diagnostics,
         notes=(
             "rate solves the increasing moment condition E[exp(a R)] = Q; "

@@ -16,8 +16,9 @@ one numpy window around their modes, so its cost grows with the mode's
 square root.  log_sum_series adds one series from k = 0 term by term with
 compensated addition against a scale that moves only when a term would
 otherwise overflow; no planner calls it or sum_series any more, and the
-test oracles and the benchmark's tracer do.  exp_or_inf turns a log back
-into a value, inf once it passes float range; sum_series is the two
+test oracles and the benchmark's tracer do.  Plans decide on the logs;
+exp_or_inf turns a log back into a value for the public ratio functions
+and reports, inf once it passes float range; sum_series is the two
 composed.
 
 The special functions the kernels need are here too, in plain floats: a

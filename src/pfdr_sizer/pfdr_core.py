@@ -11,11 +11,11 @@ drive everything here:
   * pFDR <= alpha is therefore attainable iff
     rho_n >= Q(alpha, pi) = (1 - alpha)(1 - pi) / (alpha * pi).
 
-Planners for specific statistics build an LrSupCurve (n -> rho_n) and hand
-it to min_n_search together with their large-n approximation of the answer.
-The search starts there, finds the first n where the curve clears Q, and
-raises NonMonotoneCurveError when the points it evaluated show the curve
-falling.
+Plans decide on ln Q, finite even where Q overflows: planners build an
+LrSupCurve (n -> log rho_n) and hand it to min_n_search with their large-n
+approximation of the answer.  The search starts there, finds the first n
+where the curve clears ln Q, and raises NonMonotoneCurveError when the
+points it evaluated show the curve falling; reports carry rho and Q.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Callable
+
+from .numerics import exp_or_inf
 
 __all__ = [
     "PfdrTarget",
@@ -90,29 +92,24 @@ class PfdrTarget:
             raise ValueError(f"pi must be in (0, 1), got {self.pi!r}")
 
     def q(self) -> float:
-        return q_threshold(self.alpha, self.pi)
+        odds = self.alpha * self.pi
+        return (1.0 - self.alpha) * (1.0 - self.pi) / odds if odds > 0.0 else math.inf
+
+    def log_q(self) -> float:
+        """ln Q, the level every plan decides on; finite for every valid target."""
+        a, p = self.alpha, self.pi
+        return math.log1p(-a) + math.log1p(-p) - math.log(a) - math.log(p)
 
 
 def q_threshold(alpha: float, pi: float) -> float:
     """Density-ratio level the statistic must reach for pFDR <= alpha.
 
     Q = (1 - alpha)(1 - pi) / (alpha * pi).  Always > 1 when alpha + pi < 1,
-    equal to 1 when alpha + pi = 1.  Raises ValueError when alpha * pi
-    underflows to 0 or Q overflows, since no plan can be read from an
-    infinite Q.
+    equal to 1 when alpha + pi = 1, and inf once it passes float range or
+    alpha * pi underflows to 0; plans decide on PfdrTarget.log_q instead.
+    Raises ValueError when alpha or pi lies outside (0, 1).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
-    if not 0.0 < pi < 1.0:
-        raise ValueError(f"pi must be in (0, 1), got {pi!r}")
-    odds = alpha * pi
-    q = (1.0 - alpha) * (1.0 - pi) / odds if odds > 0.0 else math.inf
-    if q == math.inf:
-        raise ValueError(
-            f"alpha = {alpha!r} and pi = {pi!r} are too small: "
-            f"Q = (1 - alpha)(1 - pi) / (alpha pi) overflows"
-        )
-    return q
+    return PfdrTarget(alpha, pi).q()
 
 
 def min_pfdr(pi: float, rho: float) -> float:
@@ -130,11 +127,11 @@ def min_pfdr(pi: float, rho: float) -> float:
 
 @dataclass
 class LrSupCurve:
-    """Density-ratio supremum as a function of the per-null sample size.
+    """Log density-ratio supremum as a function of the per-null sample size.
 
-    eval(n) must return rho_n >= 1 for integer n >= 1.  The curve is assumed
-    nondecreasing in n; min_n_search verifies that assumption on the points
-    it actually evaluates and raises NonMonotoneCurveError when it fails.
+    eval(n) must return log rho_n >= 0 for integer n >= 1.  The curve is
+    assumed nondecreasing in n; min_n_search verifies that assumption on the
+    points it evaluates and raises NonMonotoneCurveError when it fails.
     """
 
     eval: Callable[[int], float]
@@ -159,17 +156,16 @@ class PlanReport:
     notes: tuple[str, ...] = ()
 
 
-# relative slack when checking that cached curve values are nondecreasing;
+# slack in log rho when checking that cached curve values are nondecreasing;
 # series-evaluated curves can wobble at round-off level near flat stretches
 _MONOTONE_SLACK = 1e-12
 
 
 def _first_drop(cache: dict[int, float]) -> tuple[int, int] | None:
-    """First pair of adjacent evaluated n whose values decrease, if any."""
+    """First pair of adjacent evaluated n whose log values decrease, if any."""
     ns = sorted(cache)
     for prev, cur in zip(ns, ns[1:]):
-        a, b = cache[prev], cache[cur]
-        if b < a and a - b > _MONOTONE_SLACK * abs(a):
+        if cache[prev] - cache[cur] > _MONOTONE_SLACK:
             return prev, cur
     return None
 
@@ -180,80 +176,81 @@ def min_n_search(
     n_max: int = DEFAULT_N_MAX,
     hint: float = 1.0,
 ) -> PlanReport:
-    """Smallest integer n with rho_n >= Q(alpha, pi), searched from a hint.
+    """Smallest integer n with log rho_n >= ln Q(alpha, pi), searched from a hint.
 
     hint is the caller's guess at the answer, typically a planner's large-n
     approximation.  It is rounded up and clamped into [1, n_max]; a hint
     that is not finite starts the search at 1.  From that n0 the search
     steps geometrically (first step max(1, n0 // 8), doubling) until one
-    point lies below Q and one at or above it, never past n_max.  Illinois
+    point lies below ln Q and one at or above it, never past n_max.  Illinois
     regula falsi on log rho_n - ln Q over the integers then closes the
     bracket, with bisection steps where interpolation cannot help.  The hint
     changes only the cost, never the answer, as long as the curve is
     nondecreasing.
 
-    Every evaluated point is cached and checked afterwards: n* must cross Q
-    where n* - 1 does not, and the cached values must be nondecreasing.  The
-    diagnostic monotone_checked is 1 on every returned plan.
+    Every evaluated point is cached and checked afterwards: n* must cross
+    ln Q where n* - 1 does not, and the cached logs must be nondecreasing.
+    The diagnostic monotone_checked is 1 on every returned plan.
 
-    Raises NotAttainableError when rho_{n_max} < Q, InvalidRatioError when
-    the curve returns a value below 1, and NonMonotoneCurveError when a check
-    fails.
+    Raises NotAttainableError when log rho_{n_max} < ln Q, InvalidRatioError
+    when the curve returns a log below 0, and NonMonotoneCurveError when a
+    check fails.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max!r}")
-    q = target.q()
+    log_q = target.log_q()
     cache: dict[int, float] = {}
 
-    def rho(n: int) -> float:
+    def g(n: int) -> float:  # log rho_n - ln Q
         v = cache.get(n)
         if v is None:
             v = float(curve.eval(n))
-            if not v >= 1.0 - 1e-9:
+            if not v >= -1e-9:
                 raise InvalidRatioError(
-                    f"curve returned rho_{n} = {v!r}; a density-ratio supremum "
-                    "cannot be below 1"
+                    f"curve returned rho_{n} = {exp_or_inf(v)!r}; a density-ratio "
+                    "supremum cannot be below 1"
                 )
             cache[n] = v
-        return v
+        return v - log_q
 
     n0 = math.ceil(min(max(hint, 1.0), n_max)) if math.isfinite(hint) else 1
-    lo, hi = _bracket(rho, q, n0, n_max)
-    n_star = _close_bracket(rho, q, lo, hi)
+    bracket = _bracket(g, n0, n_max)
+    if bracket is None:
+        raise NotAttainableError(n_max, exp_or_inf(cache[n_max]), target.q())
+    n_star = _close_bracket(g, *bracket)
 
-    crossing_ok = rho(n_star) >= q and (n_star == 1 or rho(n_star - 1) < q)
+    crossing_ok = g(n_star) >= 0.0 and (n_star == 1 or g(n_star - 1) < 0.0)
     drop = _first_drop(cache) if crossing_ok else (n_star - 1, n_star)
     if drop is not None:
-        raise NonMonotoneCurveError(*drop, cache[drop[0]], cache[drop[1]])
+        raise NonMonotoneCurveError(*drop, *(exp_or_inf(cache[n]) for n in drop))
 
     diagnostics = {
-        "rho_at_n_exact": rho(n_star),
+        "rho_at_n_exact": exp_or_inf(cache[n_star]),
         "monotone_checked": 1.0,
     }
     if n_star > 1:
-        diagnostics["rho_below_n_exact"] = rho(n_star - 1)
+        diagnostics["rho_below_n_exact"] = exp_or_inf(cache[n_star - 1])
     return PlanReport(
         n_exact=n_star,
         n_asymptotic=None,
         regime=REGIME_EXACT_SEARCH,
-        q_value=q,
+        q_value=target.q(),
         diagnostics=diagnostics,
     )
 
 
-def _bracket(
-    rho: Callable[[int], float], q: float, n0: int, n_max: int
-) -> tuple[int, int]:
-    """(lo, hi) with rho(lo) < Q <= rho(hi), stepping geometrically from n0.
+def _bracket(g: Callable[[int], float], n0: int, n_max: int) -> tuple[int, int] | None:
+    """(lo, hi) with g(lo) < 0 <= g(hi), stepping geometrically from n0.
 
-    lo = 0 stands for "no n below the crossing": rho(1) already reaches Q.
+    lo = 0 stands for "no n below the crossing": g(1) already reaches 0.
+    None when g(n_max) < 0, so that no n up to n_max crosses.
     """
     step = max(1, n0 // 8)
-    if rho(n0) >= q:
+    if g(n0) >= 0.0:
         hi = n0
         while hi > 1:
             n = max(1, hi - step)
-            if rho(n) < q:
+            if g(n) < 0.0:
                 return n, hi
             hi = n
             step *= 2
@@ -261,45 +258,41 @@ def _bracket(
     lo = n0
     while lo < n_max:
         n = min(n_max, lo + step)
-        if rho(n) >= q:
+        if g(n) >= 0.0:
             return lo, n
         lo = n
         step *= 2
-    raise NotAttainableError(n_max, rho(n_max), q)
+    return None
 
 
-def _close_bracket(rho: Callable[[int], float], q: float, lo: int, hi: int) -> int:
-    """First n in (lo, hi] with rho(n) >= Q, by Illinois regula falsi.
+def _close_bracket(g: Callable[[int], float], lo: int, hi: int) -> int:
+    """First n in (lo, hi] with g(n) >= 0, by Illinois regula falsi.
 
     Interpolates g(n) = log rho(n) - ln Q, negative at lo and nonnegative at
     hi.  When the same end moves twice running, the g of the end left behind
     is halved so the next point lands nearer to it.  A step bisects instead
-    while g at either end is not finite (an overflowed curve returns inf) or
-    both round to 0, and after the same end has moved twice running, which
-    bounds the cost on step-shaped curves where interpolation creeps.
+    while g at hi is not finite (a curve may return inf) or both ends round
+    to 0, and after the same end has moved twice running, which bounds the
+    cost on step-shaped curves where interpolation creeps.
     """
     if hi - lo == 1:
         return hi
-    log_q = math.log(q)
-
-    def g(n: int) -> float:
-        return math.log(rho(n)) - log_q
-
     g_lo, g_hi = g(lo), g(hi)
     streak = 0  # +k: hi moved on each of the last k steps; -k: lo did
     while hi - lo > 1:
-        if abs(streak) < 2 and -math.inf < g_lo < g_hi < math.inf:
+        if abs(streak) < 2 and g_lo < g_hi < math.inf:
             x = lo + (hi - lo) * g_lo / (g_lo - g_hi)
             n = min(hi - 1, max(lo + 1, math.ceil(x)))
         else:
             n = (lo + hi) // 2
-        if rho(n) >= q:
-            hi, g_hi = n, g(n)
+        g_n = g(n)
+        if g_n >= 0.0:
+            hi, g_hi = n, g_n
             streak = streak + 1 if streak > 0 else 1
             if streak > 1:
                 g_lo *= 0.5
         else:
-            lo, g_lo = n, g(n)
+            lo, g_lo = n, g_n
             streak = streak - 1 if streak < 0 else -1
             if streak < -1:
                 g_hi *= 0.5

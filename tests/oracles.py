@@ -169,6 +169,15 @@ def log_lr_sup_t_integral(n: int, r: float) -> float:
         )
 
 
+def log_q_mpmath(alpha: float, pi: float) -> float:
+    """ln((1 - alpha)(1 - pi) / (alpha pi)) at 50 digits, from the ratio itself."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        a, b = mpmath.mpf(alpha), mpmath.mpf(pi)
+        return float(mpmath.log((1 - a) * (1 - b) / (a * b)))
+
+
 def log_m_p_hyp0f1(p: int, t: float) -> float:
     """log M_p(t) = log 0F1(; p / 2; t^2 / 4) from mpmath at 50 digits."""
     import mpmath

@@ -1,21 +1,27 @@
 import ast
+import contextlib
 import csv
 import io
 import json
 import math
+import os
 import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pfdr_sizer import mc_verify
 from pfdr_sizer.cli import _OUTCOMES, _flatten, _to_json, main, parse_config
+from pfdr_sizer.f_test import log_lr_sup_f
+from pfdr_sizer.normal_t import SnrMixture, log_lr_sup_t, log_lr_sup_t_mixture
+from pfdr_sizer.pfdr_core import PfdrTarget
 
 PLAN_F_ARGS = [
     "plan-f", "--alpha", "0.05", "--pi", "0.1", "--delta", "1", "--p", "10000",
@@ -400,7 +406,7 @@ class TestFailureStatuses:
     def test_ratio_below_one_is_a_fault_not_a_usage_error(self, capsys, monkeypatch):
         from pfdr_sizer import f_test
 
-        monkeypatch.setattr(f_test, "lr_sup_f", lambda *args, **kwargs: 0.5)
+        monkeypatch.setattr(f_test, "log_lr_sup_f", lambda *args, **kwargs: math.log(0.5))
         code, out, err = _run(capsys, PLAN_F_ARGS)
         assert (code, err) == (1, "")
         report = json.loads(out)
@@ -412,7 +418,7 @@ class TestFailureStatuses:
     def test_non_monotone_curve_is_a_fault(self, capsys, monkeypatch):
         from pfdr_sizer import normal_t
 
-        monkeypatch.setattr(normal_t, "lr_sup_t", lambda n, r: 1e4 / n)
+        monkeypatch.setattr(normal_t, "log_lr_sup_t", lambda n, r: 10.0 - math.log(n))
         code, out, err = _run(
             capsys, ["plan-t", "--alpha", "0.05", "--pi", "0.1", "--snr", "0.5"]
         )
@@ -421,8 +427,9 @@ class TestFailureStatuses:
         assert report["status"] == "non-monotone-curve"
         assert report["outputs"] == {}
         message = report["diagnostics"]["message"]
-        assert "rho_1 = 10000.0" in message
-        assert "rho_4 = 2500.0" in message
+        # the message gives the values rho = exp(log rho), not the logs
+        assert f"rho_1 = {math.exp(10.0)!r}" in message
+        assert f"rho_4 = {math.exp(10.0 - math.log(4.0))!r}" in message
 
 
 def _with_required(argv):
@@ -434,6 +441,68 @@ def _with_required(argv):
     if command in ("plan-general", "plan-score"):
         rest += ["--effect", "0.3", "--rho", "0.5"]
     return [command, *rest]
+
+
+# float flags at the edges of their ranges and of float range itself
+EDGE_VALUES = ["0.0", "1e-320", "1e-300", "0.05", "1.0", "1e+300", "inf", "nan", "-0.0"]
+EDGE_PLANS = {
+    "plan-t": lambda e: ["plan-t", "--snr", e],
+    "plan-f": lambda e: ["plan-f", "--delta", e, "--p", "3"],
+    "plan-t-mixture": lambda e: ["plan-t-mixture", "--atoms", f"{e}:1"],
+    "plan-general": lambda e: [
+        "plan-general", "--family", "normal", "--effect", e, "--rho", "0.5",
+    ],
+    "plan-score": lambda e: [
+        "plan-score", "--family", "gamma-score", "--effect", e, "--rho", "0.5",
+    ],
+}
+
+
+def _log_curve(command, effect):
+    """The public log kernel an exact plan of this command searches."""
+    if command == "plan-t":
+        return lambda n: log_lr_sup_t(n, effect)
+    if command == "plan-f":
+        return lambda n: log_lr_sup_f(3, n, effect)
+    mixture = SnrMixture(atoms=((effect, 1.0),))
+    return lambda n: log_lr_sup_t_mixture(n, mixture)
+
+
+class TestEdgeValues:
+    # 300 of the 3645 combinations; all of them ran in about 15 s on 2 cores
+    @settings(max_examples=300)
+    @given(
+        command=st.sampled_from(sorted(EDGE_PLANS)),
+        alpha=st.sampled_from(EDGE_VALUES),
+        pi=st.sampled_from(EDGE_VALUES),
+        effect=st.sampled_from(EDGE_VALUES),
+    )
+    @example(command="plan-t", alpha="0.05", pi="1e-320", effect="1.0")
+    @example(command="plan-f", alpha="1e-300", pi="1e-320", effect="1.0")
+    @example(command="plan-t-mixture", alpha="1e-320", pi="1e-320", effect="0.05")
+    @example(command="plan-t", alpha="0.05", pi="0.05", effect="1e+300")
+    @example(command="plan-f", alpha="0.05", pi="0.05", effect="1e+300")
+    def test_exit_status_and_crossing(self, command, alpha, pi, effect):
+        # no traceback (an exception out of main) and no warning of any kind
+        argv = EDGE_PLANS[command](effect) + ["--alpha", alpha, "--pi", pi]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert caught == []
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out.getvalue() == "" and "error: " in err.getvalue()
+            return
+        report = json.loads(out.getvalue())
+        assert (report["status"] == "ok") == (code == 0)
+        n = report["outputs"].get("n_exact")
+        if code == 0 and n is not None:
+            log_q = PfdrTarget(float(alpha), float(pi)).log_q()
+            log_rho = _log_curve(command, float(effect))
+            assert log_rho(n) >= log_q
+            assert n == 1 or log_rho(n - 1) < log_q
 
 
 class TestUsageErrors:
@@ -583,12 +652,22 @@ class TestUsageErrors:
             "plan-f --alpha 0.05 --pi 1e-320 --delta 1 --p 3",
             "plan-t-mixture --alpha 0.05 --pi 1e-320 --atoms 1:1",
             "plan-t --alpha 1e-12 --pi 1e-320 --snr 1",
+            "plan-general --alpha 0.05 --pi 1e-320 --family normal --effect 1 --rho 0.5",
+            "plan-score --alpha 0.05 --pi 1e-320 --family gamma-score --effect 1 --rho 0.5",
         ],
     )
     def test_q_beyond_float_range(self, capsys, args):
+        # not a usage error: Q overflows, ln Q does not, and plans decide on it
         code, out, err = _run(capsys, args.split())
-        assert (code, out) == (2, "")
-        assert re.fullmatch(r"error: alpha = \S+ and pi = 1e-320 are too small: .*\n", err)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["outputs"]["q_value"] == "Infinity"
+        inputs = report["inputs"]
+        log_q = PfdrTarget(inputs["alpha"], inputs["pi"]).log_q()
+        assert report["diagnostics"]["log_q"] == log_q
+        if "--alpha 0.05 --pi 1e-320 --snr 1" in args or "--atoms 1:1" in args:
+            assert log_q == 739.7716798701404
+            assert report["outputs"]["n_exact"] == 936
 
     def test_normal_score_sigma_beyond_float_range(self, capsys):
         code, out, err = _run(
@@ -735,6 +814,22 @@ class TestEntryPoint:
         # module execution path mirrors the console script
         assert proc.returncode == 0
         assert '"n_asymptotic": 15' in proc.stdout
+
+    def test_reader_gone_before_the_report(self):
+        # as `pfdr-sizer plan-t ... | head -1` can leave it: the read end is
+        # closed before the process writes, so its write fails with EPIPE
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c",
+                 "from pfdr_sizer.cli import main_entry; main_entry()",
+                 "plan-t", "--alpha", "0.05", "--pi", "0.1", "--snr", "0.5"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, "")
 
 
 # fresh CLI processes, one or more per subcommand, with whether they load

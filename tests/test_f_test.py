@@ -1,9 +1,12 @@
 import math
+import re
 
+import numpy as np
 import pytest
 from scipy import optimize, special
 
 import oracles
+from pfdr_sizer import numerics
 from pfdr_sizer.f_test import (
     FEffect,
     _log_m_p,
@@ -13,10 +16,25 @@ from pfdr_sizer.f_test import (
     plan_f,
     quadratic_root_n,
 )
+from pfdr_sizer.numerics import SeriesDivergenceError
 from pfdr_sizer.pfdr_core import PfdrTarget
 
 
 class TestLrSupF:
+    @pytest.mark.parametrize("delta", [2000.0, 1e300])
+    def test_mode_past_the_budget_raises_at_once(self, monkeypatch, delta):
+        # the error is raised before any chunk, so the shared log-factorial
+        # table is not built to 10^6 entries only to word its last log term
+        p, n, k = 3, 1, numerics._MAX_TERMS - 1
+        a = 0.5 * (n + p) * delta * delta
+        log_b = float(np.log1p(n / (p + 2.0 * np.arange(k))).sum())
+        last = log_b + k * math.log(a) - math.lgamma(k + 1.0)
+        monkeypatch.setattr(numerics, "_log_factorial_table", ())
+        message = f"no truncation after 1000000 terms (last log term {last:.6g}, rel_tol 1e-14)"
+        with pytest.raises(SeriesDivergenceError, match=re.escape(message)):
+            log_lr_sup_f(p, n, delta)
+        assert len(numerics._log_factorial_table) < numerics._MAX_TERMS
+
     def test_vanishing_noncentrality(self):
         assert lr_sup_f(3, 10, 1e-9) == pytest.approx(1.0, abs=1e-6)
         assert lr_sup_f(3, 10, 0.0) == 1.0
@@ -117,6 +135,29 @@ class TestMp:
         assert checked >= 20
 
     @pytest.mark.parametrize("p", MP_DIMENSIONS)
+    def test_log_past_float_range_against_hypergeometric(self, p):
+        # log M from 700 to 3000, where the sum moves to lower scales
+        lo = 0.8 * max(700.0, math.sqrt(1400.0 * p))
+        hi = 1.25 * max(3000.0, math.sqrt(6000.0 * p))
+        checked = 0
+        for i in range(16):
+            t = lo * (hi / lo) ** (i / 15)
+            ref = oracles.log_m_p_hyp0f1(p, t)
+            if 700.0 <= ref <= 3000.0:
+                assert _log_m_p(p, t) == pytest.approx(ref, rel=1e-13, abs=0.0)
+                checked += 1
+        assert checked >= 5
+
+    def test_mode_past_the_budget(self):
+        # log M_p raises at once; M_p itself is past float range there
+        for t in (3e6, 1e100, math.inf):
+            with pytest.raises(SeriesDivergenceError, match="no truncation after"):
+                _log_m_p(3, t)
+            assert m_p(3, t) == math.inf
+        with pytest.raises(ValueError):
+            m_p(3, math.nan)
+
+    @pytest.mark.parametrize("p", MP_DIMENSIONS)
     def test_inf_exactly_past_float_range(self, p):
         # bisect t to 1e-12 around the 50-digit crossing log M = 709.78,
         # exp_or_inf's cutoff; log M moves by about 1e-9 across that bracket
@@ -187,9 +228,17 @@ class TestPlanF:
         assert report.n_exact == 1
         assert report.n_asymptotic == 1.0
 
-    def test_q_beyond_float_range_is_refused(self):
-        with pytest.raises(ValueError, match="alpha = 0.05 and pi = 1e-320"):
-            plan_f(PfdrTarget(alpha=0.05, pi=1e-320), FEffect(delta=1.0, p=3))
+    @pytest.mark.parametrize("p", [3, 100])
+    def test_q_beyond_float_range_plans(self, p):
+        # Q overflows and ln Q = 739.77 does not: the search decides on ln Q,
+        # and the mgf inversion solves log M_p(t) = ln Q past float range
+        target = PfdrTarget(alpha=0.05, pi=1e-320)
+        report = plan_f(target, FEffect(delta=1.0, p=p))
+        n, log_q = report.n_exact, target.log_q()
+        assert log_lr_sup_f(p, n, 1.0) >= log_q > log_lr_sup_f(p, n - 1, 1.0)
+        assert report.q_value == math.inf
+        t_star = report.diagnostics["n_mgf_inversion"]
+        assert oracles.log_m_p_hyp0f1(p, t_star) == pytest.approx(log_q, rel=1e-12)
 
     def test_all_three_rates_reported(self):
         report = plan_f(PfdrTarget(alpha=0.05, pi=0.1), FEffect(delta=0.5, p=10))

@@ -17,6 +17,7 @@ from pfdr_sizer.ldp_engine import (
     FAMILIES,
     MAX_DRAW_CELLS,
     SplitSpec,
+    _cauchy_score,
     _staged_hits,
     _standard_cauchy,
     _uniform_gap,
@@ -690,6 +691,21 @@ class TestCouplingStructure:
         result = tail_ratio_mc(scenario, t_target=0.0)
         assert result.hits_num == result.hits_den == result.hits_joint
         assert result.stderr == 0.0
+
+    def test_cauchy_score_effect_past_float_range(self):
+        # (w + effect)^2 overflows in every shifted cell, where the score
+        # rounds to 0 without an overflow warning, which the suite would
+        # turn into an error.  Where w^2 is finite the score is unchanged
+        w = np.array([3.0, -0.5, 1e150, -1e154, 1e200, -1e300])
+        finite = np.array([True, True, True, True, False, False])
+        got = _cauchy_score(w)
+        assert np.array_equal(got[finite], _cauchy(w[finite]))
+        assert np.array_equal(got[~finite], [0.0, 0.0])
+        scenario = SimScenario(
+            family="cauchy-score", effect=1e300, pi=0.5, n=4, m=4,
+            schedule=_fixed(0.5), trials=5, seed=13,
+        )
+        assert simulate_pfdr(scenario).batches == 5
 
     @pytest.mark.parametrize("family", ["cauchy-score", "gamma-score"])
     def test_zero_effect_scores_are_the_null_scores(self, family):

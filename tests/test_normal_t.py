@@ -145,12 +145,17 @@ class TestPlanT:
         with pytest.raises(NotAttainableError):
             plan_t(PfdrTarget(alpha=0.05, pi=0.1), SnrEffect(r=1e-4), n_max=1000)
 
-    def test_q_beyond_float_range_is_refused(self):
+    def test_q_beyond_float_range_plans(self):
+        # Q overflows and ln Q = 739.77 does not: both plans decide on ln Q
         target = PfdrTarget(alpha=0.05, pi=1e-320)
-        with pytest.raises(ValueError, match="alpha = 0.05 and pi = 1e-320"):
-            plan_t(target, SnrEffect(r=1.0))
-        with pytest.raises(ValueError, match="alpha = 0.05 and pi = 1e-320"):
-            plan_t_mixture(target, SnrMixture(atoms=((1.0, 1.0),)))
+        log_q = target.log_q()
+        assert log_lr_sup_t(936, 1.0) >= log_q > log_lr_sup_t(935, 1.0)
+        point_mass = SnrMixture(atoms=((1.0, 1.0),))
+        for report in (plan_t(target, SnrEffect(r=1.0)), plan_t_mixture(target, point_mass)):
+            assert report.n_exact == 936
+            assert report.q_value == math.inf
+            assert report.diagnostics["log_q"] == log_q
+            assert report.n_asymptotic == pytest.approx(log_q, rel=1e-12)
 
 
 class TestMixture:
