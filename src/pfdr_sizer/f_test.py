@@ -37,7 +37,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 from .normal_t import _LOG_RESCALE, _RESCALE_AT
-from .numerics import _MAX_CHUNK_CELLS, _MAX_TERMS, _REL_TOL, _budget_error, exp_or_inf
+from .numerics import _MAX_CHUNK_CELLS, _REL_TOL, _check_budget, exp_or_inf
 from .numerics import find_root_increasing, log_factorials, log_sum_rows
 from .pfdr_core import DEFAULT_N_MAX, LrSupCurve, PfdrTarget, PlanReport, min_n_search
 
@@ -108,19 +108,14 @@ def _log_k(p: int, n: int, delta: float) -> float:
 
     In the window, log b_{p,n,k0} is a pairwise sum of log1p(n / (p + 2j))
     over j < k0, by blocks, carried through each chunk as a running sum;
-    log k! is sliced from the shared table of numerics.log_factorials.  A
-    mode past term _MAX_TERMS raises SeriesDivergenceError before any chunk,
-    its last log term from lgamma, so the table is not built for it.
+    log k! is sliced from the shared table of numerics.log_factorials.
+    log_sum_rows refuses a mode past the term budget before any chunk, so
+    the table is not built for it.
     """
     a = 0.5 * (n + p) * delta * delta
     if a == 0.0:  # delta = 0, or A underflowed: K = 1
         return 0.0
     mode = _f_mode(p, n, a)
-    if not mode < _MAX_TERMS:
-        # b_{p,n,k} = Gamma(k + (n + p)/2) Gamma(p/2) / (Gamma((n + p)/2) Gamma(k + p/2))
-        k, h, c = _MAX_TERMS - 1, 0.5 * (n + p), 0.5 * p
-        log_b = math.lgamma(k + h) - math.lgamma(h) + math.lgamma(c) - math.lgamma(k + c)
-        raise _budget_error(log_b + k * math.log(a) - math.lgamma(k + 1.0))
     if mode < _SHORT_MODE:
         total = term = 1.0
         # exact integers in floats: u = n + p + 2k, v = p + 2k, j = k + 1
@@ -202,18 +197,18 @@ def _log_m_p(p: int, t: float) -> float:
     sum stops at the first term that leaves it unchanged.  Past 2^800 the
     sum and the term move exactly to a scale 2^800 lower, so the log stays
     finite.  Every step rounds monotonically, so the result is nondecreasing
-    in |t| up to the rounding of the final log.  A mode past term
-    _MAX_TERMS raises SeriesDivergenceError.
+    in |t| up to the rounding of the final log.  _check_budget refuses
+    the mode, the root of k (k + b1) = z, before any term.
     """
     z, b1 = 0.25 * t * t, 0.5 * p - 1.0
     if z == 0.0:
         return 0.0
-    # a mode (k (k + b1) = z) under term 10^6 keeps each step's factor under
-    # about 2 * 10^12 < 2^41, so no term overflows between rescales
-    if not z < _MAX_TERMS * (_MAX_TERMS + b1):
-        k = _MAX_TERMS - 1
-        log_c = math.lgamma(b1 + 1.0) - math.lgamma(k + b1 + 1.0)
-        raise _budget_error(log_c + k * math.log(z) - math.lgamma(k + 1.0))
+    # the mode, without cancellation for b1 >= 0; one under term 10^6 keeps
+    # each step's factor under about 2 * 10^12 < 2^41, so no term overflows
+    # between rescales
+    root = math.hypot(0.5 * b1, math.sqrt(z))
+    stable = b1 >= 0.0 and z < math.inf
+    _check_budget(z / (root + 0.5 * b1) if stable else root - 0.5 * b1)
     total, term, k, rescales = 0.0, 1.0, 0.0, 0
     while True:
         k += 1.0

@@ -412,9 +412,13 @@ def gamma_score_density(x: float) -> float:
 # hit1 False where it is False.  Shift families share one scale between the
 # sides: pair differences cancel a mean shift.
 #
-# The normal families draw the statistics from their exact laws: xbar is
-# N(0, sigma^2 / n), and independently m S^2 / sigma^2 is chi-square with m
-# degrees of freedom, since each pair difference is N(0, 2 sigma^2).
+# The rule is Studentized, so it holds for data X exactly when it holds for
+# X / c with the effect divided by c: a family's sigma, width or scale only
+# divides the effect, once, and its draws are at unit scale.  theta / sigma
+# is also the normal score's standardized shift, so normal-score is drawn
+# as normal.  The normal families draw the statistics from their exact laws:
+# xbar is N(0, 1 / n), and independently m S^2 is chi-square with m
+# degrees of freedom, since each pair difference is N(0, 2).
 #
 # The other families draw every row's mean first, in row chunks of about
 # _CHUNK_CELLS cells; numpy fills arrays row-major, so the means consume the
@@ -564,18 +568,19 @@ def _uniform_gap(rng, shape) -> np.ndarray:
 def _hits_normal(rng, size, n, m, effect, z, side, sigma):
     import numpy as np
 
-    xbar0 = sigma / math.sqrt(n) * rng.standard_normal(size)
-    s0 = sigma * np.sqrt(rng.chisquare(m, size) / m)
+    effect /= sigma
+    xbar0 = 1.0 / math.sqrt(n) * rng.standard_normal(size)
+    s0 = np.sqrt(rng.chisquare(m, size) / m)
     return _exact_hits(xbar0, xbar0 + effect, s0, z, side)
 
 
 def _hits_uniform(rng, size, n, m, effect, z, side, width):
     _check_cells(size, max(n, m))
-    xbar0 = width * _by_chunks(size, n, lambda k: _row_mean(rng.random((k, n)) - 0.5))
+    effect /= width
+    xbar0 = _by_chunks(size, n, lambda k: _row_mean(rng.random((k, n)) - 0.5))
 
     def gaps(rows, pairs):
         d = _uniform_gap(rng, (pairs, rows.size))
-        d *= width
         d *= d
         return (d,)
 
@@ -584,18 +589,13 @@ def _hits_uniform(rng, size, n, m, effect, z, side, width):
 
 def _hits_gamma(rng, size, n, m, effect, z, side, shape, scale):
     _check_cells(size, 2 * m)
-    xbar0 = scale * (rng.standard_gamma(n * shape, size) / n - shape)
+    effect /= scale
+    xbar0 = rng.standard_gamma(n * shape, size) / n - shape
 
     def gaps(rows, pairs):
-        return (_squared_gaps(scale * rng.standard_gamma(shape, (2 * pairs, rows.size))),)
+        return (_squared_gaps(rng.standard_gamma(shape, (2 * pairs, rows.size))),)
 
     return _staged_hits(xbar0, xbar0 + effect, gaps, m, z, side, shared=True)
-
-
-def _hits_normal_score(rng, size, n, m, effect, z, side, sigma):
-    # the score omega / sigma^2 of N(theta, sigma^2) data is normal data of
-    # standard deviation 1 / sigma shifted by theta / sigma^2
-    return _hits_normal(rng, size, n, m, effect / (sigma * sigma), z, side, 1.0 / sigma)
 
 
 def _score_hits(size, n, m, z, side, scores):
@@ -701,7 +701,7 @@ FAMILIES: dict[str, Family] = {
             "score",
             {"sigma": 1.0},
             normal_score_model,
-            _hits_normal_score,
+            _hits_normal,
         ),
         Family("cauchy-score", "score", {}, cauchy_score_model, _hits_cauchy_score),
         Family("gamma-score", "score", {}, gamma_score_model, _hits_gamma_score),
@@ -739,8 +739,10 @@ def legendre(cgf: CgfModel, u: float) -> tuple[float, float]:
     Returns (rate, eta) where eta solves Lambda'(eta) = u and
     rate = u * eta - Lambda(eta).  At u = 0 both are zero for a centered
     cgf.  Slopes outside the closure of Lambda's derivative range raise
-    RootRangeError.
+    RootRangeError, and a NaN or infinite slope ValueError.
     """
+    if not math.isfinite(u):
+        raise ValueError(f"slope u must be finite, got {u!r}")
     if u == 0.0:
         return 0.0, 0.0
     d2_0 = cgf.lambda_d2(0.0)

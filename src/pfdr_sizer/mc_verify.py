@@ -14,24 +14,25 @@ the mean reaches z * S.  Two estimators are provided:
 
 Each family's sampler comes from ldp_engine.FAMILIES and returns, for every
 statistic of a block, whether it rejects without and with the effect.  The
-normal families draw the two statistics from their exact laws,
-xbar ~ N(0, sigma^2 / n) and m S^2 / sigma^2 ~ chi^2_m, so a null costs two
-draws whatever n and m are.  The other families draw every statistic's
-mean first: gamma as one Gamma(n * shape), the law of a sum of n
-Gamma(shape) draws, uniform, cauchy-score and gamma-score from n raw
-observations.  Their m scale pairs then come in stages of ceil(m / 8),
-ceil(m / 4), ceil(m / 2) and m pairs in all, drawn only for the statistics
-that can still reject: the sum of squared pair gaps only grows, so once
-xbar < z sqrt(partial sum / 2m) on every side a statistic is counted on, it
-cannot reject, and dropping it changes no count.  simulate_pfdr counts each
-null on the side its flag picks and tail_ratio_mc on both.  A pair costs
-two raw observations, or one uniform for uniform's gap |Y1 - Y2| drawn by
-inversion.  Raw draws come in chunks of a fixed number of cells that are
-reduced to per-statistic means and sums at once, so a block's memory grows
-with its statistics, not with n + 2m.  A block whose raw draws could pass
-ldp_engine.MAX_DRAW_CELLS is refused with ValueError; the cap bounds the
-work of one block.  simulate_pfdr refuses a batch_nulls above the same cap
-before it draws anything.
+rule is Studentized, so each sampler draws at unit scale and divides the
+effect by the family's sigma, width or scale.  The normal families draw the
+two statistics from their exact laws, xbar ~ N(0, 1 / n) and
+m S^2 ~ chi^2_m, so a null costs two draws whatever n and m are.  The other
+families draw every statistic's mean first: gamma as one Gamma(n * shape),
+the law of a sum of n Gamma(shape) draws, uniform, cauchy-score and
+gamma-score from n raw observations.  Their m scale pairs then come in
+stages of ceil(m / 8), ceil(m / 4), ceil(m / 2) and m pairs in all, drawn
+only for the statistics that can still reject: the sum of squared pair gaps
+only grows, so once xbar < z sqrt(partial sum / 2m) on every side a
+statistic is counted on, it cannot reject, and dropping it changes no
+count.  simulate_pfdr counts each null on the side its flag picks and
+tail_ratio_mc on both.  A pair costs two raw observations, or one uniform
+for uniform's gap |Y1 - Y2| drawn by inversion.  Raw draws come in chunks
+of a fixed number of cells that are reduced to per-statistic means and sums
+at once, so a block's memory grows with its statistics, not with n + 2m.  A
+block whose raw draws could pass ldp_engine.MAX_DRAW_CELLS is refused with
+ValueError; the cap bounds the work of one block.  simulate_pfdr refuses a
+batch_nulls above the same cap before it draws anything.
 
 Block b draws from an SFC64 generator seeded by child b of
 SeedSequence(seed), so blocks have independent streams keyed by (seed, b);
@@ -58,7 +59,6 @@ from .ldp_engine import (
     SHIFT_FAMILIES,
     CgfModel,
     legendre,
-    normal_score_model,
 )
 
 __all__ = [
@@ -178,10 +178,6 @@ class SimScenario:
         for key, value in params.items():
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{key} must be positive and finite, got {value!r}")
-        # the normal-score sampler divides by sigma^2: refuse, as its model
-        # does, a sigma whose square leaves float range
-        if self.family == "normal-score":
-            normal_score_model(**params)
 
 
 @dataclass(frozen=True)

@@ -33,8 +33,8 @@ from .numerics import (
     _MAX_TERMS,
     _REL_TOL,
     RootBracketError,
-    SeriesDivergenceError,
     _budget_error,
+    _check_budget,
     exp_or_inf,
     find_root_increasing,
     log_sum_rows,
@@ -145,23 +145,16 @@ def _log_l(n: int, r: float) -> float:
     even terms run from 1 and the odd ones from
     sqrt(2) d Gamma((n + 2)/2) / Gamma((n + 1)/2), a pair per step.  The
     terms rise to one mode and fall; the sum stops at the first pair past
-    it whose last term is at most _REL_TOL of the sum, and a series whose
-    mode, or whose stop, lies past term _MAX_TERMS raises
-    SeriesDivergenceError.
+    it whose last term is at most _REL_TOL of the sum.  _check_budget
+    refuses the mode before any term; a stop past term _MAX_TERMS raises
+    SeriesDivergenceError too.
     """
     if r == 0.0:
         return 0.0
     d = math.sqrt(n + 1.0) * r
     d2 = d * d
-
-    def diverged() -> SeriesDivergenceError:
-        k = _MAX_TERMS - 1
-        log_a = math.lgamma(0.5 * (n + k + 1.0)) - math.lgamma(0.5 * (n + 1.0))
-        log_x = 0.5 * math.log(2.0) + math.log(d)
-        return _budget_error(log_a + k * log_x - math.lgamma(k + 1.0))
-
-    if not _t_mode(n, d2) < _MAX_TERMS:
-        raise diverged()
+    mode = _t_mode(n, d2)
+    _check_budget(mode)
     odd = math.sqrt(2.0) * d * _gamma_half_ratio(0.5 * (n + 1.0))
     even = 0.5 * d2 * (n + 1.0)
     total, rescales = 1.0, 0
@@ -182,7 +175,7 @@ def _log_l(n: int, r: float) -> float:
         even *= d2 * m / (j1 * j)
         m += 1.0
         if j > _MAX_TERMS:
-            raise diverged()
+            raise _budget_error(mode)
 
 
 def log_lr_sup_t(n: int, r: float) -> float:

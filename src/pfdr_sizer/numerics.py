@@ -8,9 +8,11 @@ Brent's method.
 Every likelihood-ratio supremum in this package is a Poisson-type series
 whose terms rise to a single mode and then decay, and whose magnitude can
 exceed float range.  Each kernel returns the log of its sum, so no sum
-overflows, and raises SeriesDivergenceError rather than pass term 10^6
-(_budget_error words it).  The t kernel and F below its crossover sum from
-k = 0 by their exact term ratios in plain floats, in normal_t and f_test.
+overflows, and raises SeriesDivergenceError rather than pass term 10^6:
+_check_budget refuses a series from its mode, before any term, once
+log_sum_rows' first window about the mode would pass that term.  The t
+kernel and F below its crossover sum from k = 0 by their exact term ratios
+in plain floats, in normal_t and f_test.
 log_sum_rows sums the rest, F's long rows and the t-mixture's rows, over
 one numpy window around their modes, so its cost grows with the mode's
 square root.  log_sum_series adds one series from k = 0 term by term with
@@ -78,12 +80,29 @@ _REL_TOL = 1e-14
 _MAX_TERMS = 1_000_000
 
 
-def _budget_error(last_log_term: float) -> SeriesDivergenceError:
-    """The error of a series cut at the term budget, naming its last log term."""
+def _budget_error(mode: float) -> SeriesDivergenceError:
+    """The error of a series whose terms peak at mode, cut at the term budget."""
     return SeriesDivergenceError(
         f"no truncation after {_MAX_TERMS} terms "
-        f"(last log term {last_log_term:.6g}, rel_tol {_REL_TOL:g})"
+        f"(terms peak at k = {mode:.6g}, rel_tol {_REL_TOL:g})"
     )
+
+
+def _check_budget(mode: float) -> tuple[int, int]:
+    """(hi, h): log_sum_rows' first window about mode, which ends at term hi + h.
+
+    h = 8 + ceil(9 sqrt(2 hi + 2)) is nine standard deviations where log
+    terms curve by 1 / (2 (k + 1)), as the t series' do once k >> n.  A
+    series whose window would reach term _MAX_TERMS, a NaN or infinite mode
+    included, raises SeriesDivergenceError naming the mode.  Every kernel
+    asks before it sums a term, so a refusal costs none.
+    """
+    if mode < _MAX_TERMS:
+        hi = max(0, math.ceil(mode))
+        h = 8 + math.ceil(9.0 * math.sqrt(2.0 * hi + 2.0))
+        if hi + h < _MAX_TERMS:
+            return hi, h
+    raise _budget_error(mode)
 
 
 def _accumulate(log_terms: Iterable[float]) -> tuple[float, float]:
@@ -106,7 +125,10 @@ def _accumulate(log_terms: Iterable[float]) -> tuple[float, float]:
     for lt in log_terms:
         count += 1
         if count > max_terms:
-            raise _budget_error(lt)
+            raise SeriesDivergenceError(
+                f"no truncation after {max_terms} terms "
+                f"(last log term {lt:.6g}, rel_tol {rel_tol:g})"
+            )
         if lt < prev_lt:
             past_mode = True
         prev_lt = lt
@@ -170,18 +192,16 @@ def log_sum_rows(
     chunk(k0, k1) returns the finite log terms k0 <= k < k1 of every series
     as an array of shape (rows, k1 - k0), for any range.  A pass sums the
     window [mode_lo - h, mode_hi + h], clipped at 0, in blocks of at most
-    16384 cells and at least two terms, each row against its largest term.
-    h = 8 + ceil(9 sqrt(2 mode_hi + 2)) is nine standard deviations where
-    log terms curve by 1 / (2 (k + 1)), as the t series' do once k >> n.
-    The terms cut beyond an edge term e whose log ratio to its inner
-    neighbour is d < 0 sum to at most e e^d / (1 - e^d); unless that is at
-    most 1e-14 of the sum at each cut edge of every row, h doubles.  A
-    window reaching past term 10^6 raises SeriesDivergenceError unsummed.
+    16384 cells and at least two terms, each row against its largest term;
+    h starts as _check_budget's, which refuses a first window past term
+    10^6 before any chunk.  The terms cut beyond an edge term e whose log
+    ratio to its inner neighbour is d < 0 sum to at most e e^d / (1 - e^d);
+    unless that is at most 1e-14 of the sum at each cut edge of every row,
+    h doubles.  A window doubled past term 10^6 raises SeriesDivergenceError.
     """
     import numpy as np
 
-    hi = max(0, math.ceil(mode_hi)) if mode_hi < _MAX_TERMS else _MAX_TERMS
-    h = 8 + math.ceil(9.0 * math.sqrt(2.0 * hi + 2.0))
+    hi, h = _check_budget(mode_hi)
     while hi + h < _MAX_TERMS:
         k0 = max(0, math.floor(mode_lo) - h)
         width = hi + h + 1 - k0
@@ -208,7 +228,7 @@ def log_sum_rows(
         if done.all():
             return top + np.log(total)
         h *= 2
-    raise _budget_error(float(chunk(_MAX_TERMS - 1, _MAX_TERMS).max()))
+    raise _budget_error(mode_hi)
 
 
 _log_factorial_table: np.ndarray | tuple[()] = ()

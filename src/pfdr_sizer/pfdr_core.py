@@ -68,14 +68,20 @@ class NonMonotoneCurveError(RuntimeError):
 
     The search assumes a nondecreasing curve, so its answer cannot be
     trusted; n_pair names the two offending sample sizes, smaller first.
+    The message gives both rho and, once rho_low passes float range, where
+    only the logs still differ, both log rho.
     """
 
-    def __init__(self, n_low: int, n_high: int, rho_low: float, rho_high: float):
+    def __init__(self, n_low: int, n_high: int, log_low: float, log_high: float):
         self.n_pair = (n_low, n_high)
-        super().__init__(
+        rho_low, rho_high = exp_or_inf(log_low), exp_or_inf(log_high)
+        text = (
             f"curve is not nondecreasing in n: rho_{n_low} = {rho_low!r} but "
             f"rho_{n_high} = {rho_high!r}"
         )
+        if rho_low == math.inf:
+            text += f"; log rho_{n_low} = {log_low!r} but log rho_{n_high} = {log_high!r}"
+        super().__init__(text)
 
 
 @dataclass(frozen=True)
@@ -222,7 +228,7 @@ def min_n_search(
     crossing_ok = g(n_star) >= 0.0 and (n_star == 1 or g(n_star - 1) < 0.0)
     drop = _first_drop(cache) if crossing_ok else (n_star - 1, n_star)
     if drop is not None:
-        raise NonMonotoneCurveError(*drop, *(exp_or_inf(cache[n]) for n in drop))
+        raise NonMonotoneCurveError(*drop, *(cache[n] for n in drop))
 
     diagnostics = {
         "rho_at_n_exact": exp_or_inf(cache[n_star]),

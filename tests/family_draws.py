@@ -4,7 +4,8 @@ Each family's hits function draws its row means and its scale and hands
 them to ldp_engine._exact_hits (the normal families) or to
 ldp_engine._staged_hits (the raw-draw families, which draw scale pairs only
 as the stages ask).  Patching both to capture their arguments recovers the
-statistics themselves, so that their laws can be checked.
+statistics themselves, so that their laws can be checked.  They are at
+unit scale: a family's sigma, width or scale only divides the effect.
 """
 
 from __future__ import annotations
@@ -14,6 +15,12 @@ from unittest import mock
 import numpy as np
 
 from pfdr_sizer import ldp_engine
+
+# the parameter a family's sampler divides the effect by; it draws as at that
+# parameter 1
+SCALE_PARAM = {
+    "normal": "sigma", "uniform": "width", "gamma": "scale", "normal-score": "sigma",
+}
 
 
 def captured_call(family, rng, size, n, m, effect, **params) -> dict:

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from pfdr_sizer import mc_verify
 from pfdr_sizer.cli import _OUTCOMES, _flatten, _to_json, main, parse_config
 from pfdr_sizer.f_test import log_lr_sup_f
+from pfdr_sizer.ldp_engine import FAMILIES
 from pfdr_sizer.normal_t import SnrMixture, log_lr_sup_t, log_lr_sup_t_mixture
 from pfdr_sizer.pfdr_core import PfdrTarget
 
@@ -400,7 +401,7 @@ class TestFailureStatuses:
         assert report["outputs"] == {}
         message = report["diagnostics"]["message"]
         assert "no truncation after 1000000 terms" in message
-        assert "last log term" in message
+        assert "terms peak at k = " in message
         assert "rel_tol 1e-14" in message
 
     def test_ratio_below_one_is_a_fault_not_a_usage_error(self, capsys, monkeypatch):
@@ -457,6 +458,19 @@ EDGE_PLANS = {
     ],
 }
 
+# the float flags of the other commands, each drawn from EDGE_VALUES, with
+# small sizes, so that each call is quick whatever the values
+EDGE_FLAGS = {
+    "simulate": ("effect", "pi", "z0", "t-target", "sigma", "width", "shape", "scale"),
+    "optimize-split": ("sigma", "width", "shape", "scale"),
+    "ldp-info": ("rho", "u", "sigma", "width", "shape", "scale"),
+}
+EDGE_SIZES = [
+    "--n", "4", "--m", "3", "--trials", "20", "--batch-nulls", "50", "--min-hits", "1",
+]
+# optimize-split takes shift families only
+SHIFT_OF = {"normal-score": "normal", "cauchy-score": "uniform", "gamma-score": "gamma"}
+
 
 def _log_curve(command, effect):
     """The public log kernel an exact plan of this command searches."""
@@ -503,6 +517,53 @@ class TestEdgeValues:
             log_rho = _log_curve(command, float(effect))
             assert log_rho(n) >= log_q
             assert n == 1 or log_rho(n - 1) < log_q
+
+    # 300 draws; at EDGE_SIZES each call takes milliseconds
+    @settings(max_examples=300)
+    @given(
+        command=st.sampled_from(sorted(EDGE_FLAGS)),
+        family=st.sampled_from(sorted(FAMILIES)),
+        estimand=st.sampled_from(["pfdr", "tail-ratio"]),
+        values=st.lists(st.sampled_from(EDGE_VALUES), min_size=8, max_size=8),
+    )
+    # a width or scale whose square overflows, and slopes that are not finite
+    @example(
+        command="simulate", family="uniform", estimand="tail-ratio",
+        values=["0.0", "0.05", "0.05", "1.0", "1.0", "1e+300", "1.0", "1.0"],
+    )
+    @example(
+        command="simulate", family="gamma", estimand="pfdr",
+        values=["1e+300", "0.05", "0.05", "1.0", "1.0", "1.0", "1.0", "1e+300"],
+    )
+    @example(
+        command="ldp-info", family="normal", estimand="pfdr",
+        values=["0.05", "inf", "1.0", "1.0", "1.0", "1.0", "1.0", "1.0"],
+    )
+    @example(
+        command="ldp-info", family="gamma-score", estimand="pfdr",
+        values=["0.05", "nan", "1.0", "1.0", "1.0", "1.0", "1.0", "1.0"],
+    )
+    def test_simulation_and_rate_commands(self, command, family, estimand, values):
+        if command == "optimize-split":
+            family = SHIFT_OF.get(family, family)
+        argv = [command, "--family", family]
+        for flag, value in zip(EDGE_FLAGS[command], values):
+            argv += [f"--{flag}", value]
+        if command == "simulate":
+            argv += ["--estimand", estimand, *EDGE_SIZES]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert caught == []
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out.getvalue() == "" and "error: " in err.getvalue()
+            assert "bracket_hint" not in err.getvalue()
+        else:
+            assert err.getvalue() == ""
+            assert (json.loads(out.getvalue())["status"] == "ok") == (code == 0)
 
 
 class TestUsageErrors:
@@ -670,15 +731,19 @@ class TestUsageErrors:
             assert report["outputs"]["n_exact"] == 936
 
     def test_normal_score_sigma_beyond_float_range(self, capsys):
+        # sigma only divides the effect, so sigma^2 may underflow; with
+        # effect / sigma past float range every false null rejects
         code, out, err = _run(
             capsys,
             [
                 "simulate", "--family", "normal-score", "--sigma", "1e-320", "--n", "5",
-                "--m", "5", "--trials", "2", "--z0", "0.5",
+                "--m", "5", "--trials", "2", "--z0", "0.5", "--effect", "0.1",
+                "--pi", "1", "--batch-nulls", "50",
             ],
         )
-        assert (code, out) == (2, "")
-        assert err == "error: sigma = 1e-320: too small, sigma^2 underflows\n"
+        assert (code, err) == (0, "")
+        outputs = json.loads(out)["outputs"]
+        assert (outputs["rejections"], outputs["false_rejections"]) == (100, 0)
 
     def test_invalid_alpha(self, capsys):
         code, _, err = _run(

@@ -1,12 +1,11 @@
 import math
 import re
 
-import numpy as np
 import pytest
 from scipy import optimize, special
 
 import oracles
-from pfdr_sizer import numerics
+from pfdr_sizer import f_test, numerics
 from pfdr_sizer.f_test import (
     FEffect,
     _log_m_p,
@@ -21,19 +20,22 @@ from pfdr_sizer.pfdr_core import PfdrTarget
 
 
 class TestLrSupF:
-    @pytest.mark.parametrize("delta", [2000.0, 1e300])
+    # mode 988_417 at delta 703: its first window passes term 10^6
+    @pytest.mark.parametrize("delta", [703.0, 2000.0, 1e300])
     def test_mode_past_the_budget_raises_at_once(self, monkeypatch, delta):
-        # the error is raised before any chunk, so the shared log-factorial
-        # table is not built to 10^6 entries only to word its last log term
-        p, n, k = 3, 1, numerics._MAX_TERMS - 1
+        # the error is raised from the mode before any chunk, so the shared
+        # log-factorial table is not built to 10^6 entries
+        p, n = 3, 1
         a = 0.5 * (n + p) * delta * delta
-        log_b = float(np.log1p(n / (p + 2.0 * np.arange(k))).sum())
-        last = log_b + k * math.log(a) - math.lgamma(k + 1.0)
+        mode = f_test._f_mode(p, n, a)
         monkeypatch.setattr(numerics, "_log_factorial_table", ())
-        message = f"no truncation after 1000000 terms (last log term {last:.6g}, rel_tol 1e-14)"
+        message = (
+            f"no truncation after 1000000 terms (terms peak at k = {mode:.6g}, "
+            "rel_tol 1e-14)"
+        )
         with pytest.raises(SeriesDivergenceError, match=re.escape(message)):
             log_lr_sup_f(p, n, delta)
-        assert len(numerics._log_factorial_table) < numerics._MAX_TERMS
+        assert len(numerics._log_factorial_table) == 0
 
     def test_vanishing_noncentrality(self):
         assert lr_sup_f(3, 10, 1e-9) == pytest.approx(1.0, abs=1e-6)

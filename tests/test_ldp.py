@@ -758,16 +758,20 @@ class TestFamilyRegistry:
     @pytest.mark.parametrize("name", list(ldp_engine.FAMILIES))
     def test_sampler_moments_match_cgf(self, name):
         # at n = m = 1 the mean is one observation and S^2 = (Y1 - Y2)^2 / 2,
-        # so under the null both have variance, resp. mean, Lambda''(0); the
-        # statistics are those the family hands to the rejection rule
+        # so under the null both have variance, resp. mean, Lambda''(0) of
+        # the family at scale 1, the units the statistics the family hands
+        # to the rejection rule are in; the shifted mean of a family with a
+        # scale is the null's plus effect / scale
         family = ldp_engine.FAMILIES[name]
         kwargs = {key: PARAM_VALUES.get(key, d) for key, d in family.params.items()}
-        model = family.model(**kwargs)
+        key = family_draws.SCALE_PARAM.get(name)
+        unit = {**kwargs, key: 1.0} if key else kwargs
+        model = family.model(**unit)
         cgf = model.cgf if family.kind == "score" else model[0]
         curvature = cgf.lambda_d2(0.0)
         size = 200_000
         rng = np.random.default_rng(4321)
-        xbar0, s0, _, s1 = family_draws.statistics(name, rng, size, 1, 1, 0.3, **kwargs)
+        xbar0, s0, xbar1, s1 = family_draws.statistics(name, rng, size, 1, 1, 0.3, **kwargs)
         assert abs(xbar0.mean()) <= 5.0 * xbar0.std() / math.sqrt(size)
         dev2 = (xbar0 - xbar0.mean()) ** 2
         var_se = math.sqrt((np.mean(dev2**2) - np.mean(dev2) ** 2) / size)
@@ -776,23 +780,26 @@ class TestFamilyRegistry:
         assert abs(s2.mean() - curvature) <= 5.0 * s2.std() / math.sqrt(size)
         if family.kind == "shift":
             assert s1 is s0
+        if key:
+            assert np.array_equal(xbar1, xbar0 + 0.3 / kwargs[key])
 
     def test_gamma_mean_has_the_law_of_n_draws(self):
-        # the mean of n Gamma(shape, scale) draws has cumulants
-        # kappa_j = (j - 1)! shape scale^j / n^(j - 1); the third pins the
+        # the mean of n Gamma(shape) draws, in units of the scale, has
+        # cumulants kappa_j = (j - 1)! shape / n^(j - 1); the third pins the
         # Gamma(n shape) shape, which n = 1 cannot tell from Gamma(shape)
         shape, scale, n, size = PARAM_VALUES["shape"], PARAM_VALUES["scale"], 7, 200_000
         rng = np.random.default_rng(8765)
-        xbar0, *_ = family_draws.statistics(
+        xbar0, _, xbar1, _ = family_draws.statistics(
             "gamma", rng, size, n, 3, 0.3, shape=shape, scale=scale
         )
+        assert np.array_equal(xbar1, xbar0 + 0.3 / scale)
         dev = xbar0 - xbar0.mean()
         var = np.mean(dev**2)
         # each moment estimate with its influence-function standard error
         checks = [
             (xbar0, 0.0),
-            (dev**2, scale**2 * shape / n),
-            (dev**3 - 3.0 * var * dev, 2.0 * shape * scale**3 / n**2),
+            (dev**2, shape / n),
+            (dev**3 - 3.0 * var * dev, 2.0 * shape / n**2),
         ]
         for h, expected in checks:
             assert abs(h.mean() - expected) <= 5.0 * h.std() / math.sqrt(size)

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -98,16 +98,22 @@ class TestScenarioValidation:
             SimScenario(**kwargs)
 
     def test_normal_score_sigma_beyond_float_range(self):
-        # the sampler divides by sigma^2; the other families keep their checks
-        with pytest.raises(ValueError, match="sigma = 1e-320: too small"):
-            SimScenario(
-                family="normal-score", effect=0.1, pi=0.5, n=5, m=5,
-                schedule=_fixed(0.5), trials=2, seed=0, params={"sigma": 1e-320},
+        # sigma only divides the effect, so a sigma whose square leaves float
+        # range still simulates; theta / sigma overflows, so every false null
+        # rejects
+        for family in ("normal-score", "normal"):
+            common = dict(
+                family=family, n=5, m=5, schedule=_fixed(0.5), seed=0,
+                params={"sigma": 1e-320},
             )
-        SimScenario(
-            family="normal", effect=0.1, pi=0.5, n=5, m=5,
-            schedule=_fixed(0.5), trials=2, seed=0, params={"sigma": 1e-320},
-        )
+            pfdr = simulate_pfdr(
+                SimScenario(effect=0.1, pi=1.0, trials=2, **common), batch_nulls=50
+            )
+            assert (pfdr.rejections, pfdr.false_rejections) == (100, 0)
+            ratio = tail_ratio_mc(
+                SimScenario(effect=0.0, pi=0.5, trials=200, **common), 1.0, min_hits=1
+            )
+            assert ratio.hits_num == 200
 
 
 class TestDeterminism:
@@ -225,14 +231,17 @@ def _stream(seed, block=0):
 
 
 def _whole_means(family, rng, size, n, effect, **params):
-    """The raw-draw families' row means as one (size, n) draw each."""
+    """The raw-draw families' row means as one (size, n) draw each.
+
+    Uniform and gamma draw at unit scale, so their means are in units of
+    the width or scale, and the shifted mean is the null's plus effect / it.
+    """
     if family == "uniform":
-        xbar0 = params["width"] * (rng.random((size, n)) - 0.5).mean(axis=1)
-        return xbar0, xbar0 + effect
+        xbar0 = (rng.random((size, n)) - 0.5).mean(axis=1)
+        return xbar0, xbar0 + effect / params["width"]
     if family == "gamma":
-        shape, scale = params["shape"], params["scale"]
-        xbar0 = scale * (rng.standard_gamma(n * shape, size) / n - shape)
-        return xbar0, xbar0 + effect
+        xbar0 = rng.standard_gamma(n * params["shape"], size) / n - params["shape"]
+        return xbar0, xbar0 + effect / params["scale"]
     if family == "cauchy-score":
         w = np.tan(np.pi * (rng.random((size, n)) - 0.5))
         return _cauchy(w).mean(axis=1), _cauchy(w + effect).mean(axis=1)
@@ -247,12 +256,12 @@ def _whole_means(family, rng, size, n, effect, **params):
 
 
 def _whole_gaps(family, rng, rows, pairs, effect, **params):
-    """Squared pair gaps of a (pairs, rows) chunk, null and shifted."""
+    """Squared pair gaps of a (pairs, rows) chunk, null and shifted, at unit scale."""
     if family == "uniform":
-        d = params["width"] * (1.0 - np.sqrt(rng.random((pairs, rows))))
+        d = 1.0 - np.sqrt(rng.random((pairs, rows)))
         return d * d, d * d
     if family == "gamma":
-        obs = params["scale"] * rng.standard_gamma(params["shape"], (2 * pairs, rows))
+        obs = rng.standard_gamma(params["shape"], (2 * pairs, rows))
         d = obs[0::2] - obs[1::2]
         return d * d, d * d
     if family == "cauchy-score":
@@ -677,6 +686,40 @@ class TestBahadurRao:
             bahadur_rao_tail(cgf, u=-0.5, n=100)
         with pytest.raises(ValueError):
             bahadur_rao_tail(cgf, u=0.5, n=0)
+
+
+class TestUnitScale:
+    # the rule is Studentized, so scaling the data and the effect by 2^k,
+    # which is exact in floats, must leave every count as it is, bit for bit,
+    # however far 2^k is from 1 and its square from float range
+    @settings(max_examples=40)
+    @given(
+        family=st.sampled_from(sorted(family_draws.SCALE_PARAM)),
+        k=st.integers(-600, 600),
+        effect=st.floats(0.05, 2.0),
+    )
+    @example(family="uniform", k=600, effect=0.5)
+    @example(family="gamma", k=-600, effect=0.3)
+    @example(family="normal-score", k=600, effect=0.5)
+    @example(family="normal-score", k=-600, effect=0.5)
+    def test_counts_do_not_depend_on_the_scale(self, family, k, effect):
+        c = math.ldexp(1.0, k)
+
+        def counts(scale, shift):
+            common = dict(
+                family=family, n=4, m=3, schedule=_fixed(0.6), seed=7,
+                params={family_draws.SCALE_PARAM[family]: scale, "shape": 2.0},
+            )
+            pfdr = simulate_pfdr(
+                SimScenario(effect=shift, pi=0.3, trials=3, **common), batch_nulls=500
+            )
+            ratio = tail_ratio_mc(
+                SimScenario(effect=0.0, pi=0.5, trials=2_000, **common),
+                7.0 * shift, min_hits=1,
+            )
+            return pfdr, ratio
+
+        assert counts(c, effect * c) == counts(1.0, effect)
 
 
 class TestCouplingStructure:

@@ -79,14 +79,20 @@ class TestLrSupT:
         assert lr_sup_t(10_000, 1.0) == math.inf
 
     # d^2 = 2 r^2 at n = 1: a mode past the budget, or d^2 overflowing,
-    # raises before any term is summed
-    @pytest.mark.parametrize("r", [1e3, 1e160, 1e300])
-    def test_mode_past_the_budget_raises_at_once(self, r):
+    # raises before any term is summed, and so does mode 994_896, whose
+    # first window of 8 + ceil(9 sqrt(2 mode + 2)) terms past it passes
+    # term 10^6
+    @pytest.mark.parametrize("r", [705.3, 1e3, 1e160, 1e300])
+    def test_mode_past_the_budget_raises_at_once(self, r, monkeypatch):
+        def no_pairs(x):
+            raise AssertionError("summed a term past the budget")
+
+        monkeypatch.setattr(normal_t, "_gamma_half_ratio", no_pairs)
         with pytest.raises(SeriesDivergenceError, match="no truncation after 1000000 terms"):
             log_lr_sup_t(1, r)
 
     def test_budget_reached_while_summing(self, monkeypatch):
-        # mode near 900, so the tail runs past term 1000
+        # mode near 900, whose first window reaches past term 1000
         monkeypatch.setattr(numerics, "_MAX_TERMS", 1000)
         monkeypatch.setattr(normal_t, "_MAX_TERMS", 1000)
         with pytest.raises(SeriesDivergenceError, match="no truncation after 1000 terms"):

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -322,22 +323,32 @@ class TestLogSumRows:
         assert min(widths) >= 2
         assert max(rows * w for w in widths) <= max(16384, 3 * rows)
 
-    def test_divergence_message_names_last_term_and_tolerance(self, monkeypatch):
+    def test_divergence_message_names_mode_and_tolerance(self, monkeypatch):
+        # a window that doubles past the budget without meeting the bound
         monkeypatch.setattr(numerics, "_MAX_TERMS", 1000)
         growing = lambda k0, k1: 0.1 * np.arange(k0, k1, dtype=float)[None, :]
-        with pytest.raises(SeriesDivergenceError) as info:
-            log_sum_rows(growing, 0.0, 0.0)
-        assert "no truncation after 1000 terms" in str(info.value)
-        assert "last log term 99.9" in str(info.value)
-        assert "rel_tol 1e-14" in str(info.value)
+        message = "no truncation after 1000 terms (terms peak at k = 2.5, rel_tol 1e-14)"
+        with pytest.raises(SeriesDivergenceError, match=re.escape(message)):
+            log_sum_rows(growing, 0.0, 2.5)
 
-    @pytest.mark.parametrize("mode", [999_990.0, 1e7, math.inf, math.nan])
+    # the largest mode whose first window, 8 + ceil(9 sqrt(2 mode + 2)) terms
+    # past it, stays under term 10^6 is 987_343; an F row of mode 988_417
+    @pytest.mark.parametrize(
+        "mode", [987_343.5, 988_417.0, 999_990.0, 1e7, math.inf, math.nan]
+    )
     def test_window_past_the_budget_raises_before_summing(self, mode):
         ranges = []
         with pytest.raises(SeriesDivergenceError, match="no truncation after 1000000"):
             log_sum_rows(_poisson_rows([1e6] * 512, ranges), mode, mode, rows=512)
-        # only the budget's last term is computed, for the message
-        assert ranges == [(999_999, 1_000_000)]
+        assert ranges == []
+
+    def test_budget_is_decided_from_the_mode(self):
+        hi = 987_343
+        assert hi + 8 + math.ceil(9.0 * math.sqrt(2.0 * hi + 2.0)) == 999_999
+        numerics._check_budget(float(hi))
+        message = "(terms peak at k = 987343, rel_tol 1e-14)"
+        with pytest.raises(SeriesDivergenceError, match=re.escape(message)):
+            numerics._check_budget(hi + 1e-6)
 
 
 class TestFindRootIncreasing:

@@ -129,8 +129,9 @@ class TestMinNSearch:
             min_n_search(curve, target)
         assert info.value.n_pair == (2, 4)
         # the message gives values, not logs (both round-trip exactly)
-        assert "rho_2 = 3.5" in str(info.value)
-        assert "rho_4 = 2.0" in str(info.value)
+        assert str(info.value) == (
+            "curve is not nondecreasing in n: rho_2 = 3.5 but rho_4 = 2.0"
+        )
 
     def test_monotone_slack_is_absolute_in_log(self):
         # past float range in rho, where only logs compare: a drop of about
@@ -145,6 +146,18 @@ class TestMinNSearch:
                 assert info.value.n_pair == (1, 2)
             else:
                 assert min_n_search(curve, target).n_exact == 3
+
+    def test_non_monotone_message_gives_log_rho_past_float_range(self):
+        # both rho read inf there, so only the logs show the fall
+        target = PfdrTarget(alpha=1e-300, pi=1e-300)
+        table = {1: 1000.0, 2: 999.0}
+        curve = LrSupCurve(lambda n: table.get(n, 2000.0))
+        with pytest.raises(NonMonotoneCurveError) as info:
+            min_n_search(curve, target)
+        assert str(info.value) == (
+            "curve is not nondecreasing in n: rho_1 = inf but rho_2 = inf; "
+            "log rho_1 = 1000.0 but log rho_2 = 999.0"
+        )
 
     def test_curve_below_one_rejected(self):
         target = PfdrTarget(alpha=0.2, pi=0.5)
