@@ -37,7 +37,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 from .normal_t import _LOG_RESCALE, _RESCALE_AT
-from .numerics import _MAX_CHUNK_CELLS, _REL_TOL, _check_budget, exp_or_inf
+from .numerics import _MAX_CHUNK_CELLS, _REL_TOL, _check_budget, _check_size, exp_or_inf
 from .numerics import find_root_increasing, log_factorials, log_sum_rows
 from .pfdr_core import DEFAULT_N_MAX, LrSupCurve, PfdrTarget, PlanReport, min_n_search
 
@@ -76,8 +76,7 @@ class FEffect:
     def __post_init__(self) -> None:
         if not 0.0 < self.delta < math.inf:
             raise ValueError(f"delta must be positive and finite, got {self.delta!r}")
-        if self.p < 1:
-            raise ValueError(f"p must be a positive integer, got {self.p!r}")
+        _check_size("p", self.p)
 
 
 def _f_mode(p: int, n: int, a: float) -> float:

@@ -48,6 +48,7 @@ from .numerics import (
     RootBracketError,
     RootRangeError,
     digamma,
+    exp_or_inf,
     find_root_increasing,
     log_i0_and_ratio,
     trigamma,
@@ -426,17 +427,13 @@ def gamma_score_density(x: float) -> float:
 # per row, the law of a sum of n Gamma(shape) draws; gamma-score draws each
 # chunk's exponentials and then its gammas).  _staged_hits then draws the m
 # scale pairs by stages, only for the rows that can still reject.  Within a
-# stage the rows still in play go in chunks of at most _CHUNK_CELLS / 2 rows
-# and, within each, the pairs in chunks of at most _CHUNK_CELLS raw cells:
+# stage the pairs of the k rows still in play go in chunks of at most
+# _CHUNK_CELLS raw cells, or of one pair where k passes _CHUNK_CELLS / 2:
 # one (2p, k) draw holds p pairs of k rows, pair-major, a pair in two
 # consecutive rows.  Uniform draws each pair's gap |Y1 - Y2| directly, by
 # inversion of its law, one (p, k) draw; cauchy-score draws its
 # observations by inversion too.  A block thus holds O(size) memory
 # whatever n and m are.
-
-# cap on the raw draws of one block, size * (n, m or 2m); chunking keeps a
-# block's memory small, so the cap bounds the work (time) of one block
-MAX_DRAW_CELLS = 2**27
 
 # cells per chunk of raw draws: 256 KiB per float64 array, so a chunk's
 # arrays stay in L2 cache
@@ -445,15 +442,6 @@ _CHUNK_CELLS = 2**15
 # stage k ends with ceil(m / k) scale pairs drawn for every row still able
 # to reject
 _STAGES = (8, 4, 2, 1)
-
-
-def _check_cells(size: int, columns: int) -> None:
-    if size * columns > MAX_DRAW_CELLS:
-        raise ValueError(
-            f"{size} statistics of {columns} raw draws each exceed the cap of "
-            f"MAX_DRAW_CELLS = {MAX_DRAW_CELLS} cells per block; lower n, m "
-            "or the statistics per block (batch_nulls in simulate_pfdr)"
-        )
 
 
 def _by_chunks(
@@ -466,10 +454,6 @@ def _by_chunks(
     step = max(1, _CHUNK_CELLS // columns)
     parts = [chunk(min(step, size - start)) for start in range(0, size, step)]
     return np.concatenate(parts, axis=-1)
-
-
-def _row_mean(obs: np.ndarray) -> np.ndarray:
-    return obs.mean(axis=1)
 
 
 def _squared_gaps(obs: np.ndarray) -> np.ndarray:
@@ -526,17 +510,11 @@ def _staged_hits(xbar0, xbar1, gaps, m, z, side, shared):
         pick = None if pick is None else pick[keep]
         if rows.size == 0:
             break
-        # chunks of up to chunk_rows rows by chunk_pairs pairs
-        chunk_rows = min(rows.size, _CHUNK_CELLS // 2)
-        chunk_pairs = max(1, _CHUNK_CELLS // (2 * chunk_rows))
-        for start in range(0, rows.size, chunk_rows):
-            part = slice(start, start + chunk_rows)
-            for first in range(0, pairs, chunk_pairs):
-                drawn = gaps(rows[part], min(chunk_pairs, pairs - first))
-                for total, g in zip(totals, drawn):
-                    view = total[part]
-                    for pair in g:
-                        view += pair
+        chunk_pairs = max(1, _CHUNK_CELLS // (2 * rows.size))
+        for first in range(0, pairs, chunk_pairs):
+            for total, g in zip(totals, gaps(rows, min(chunk_pairs, pairs - first))):
+                for pair in g:
+                    total += pair
         done += pairs
     out = np.zeros((2, size), bool)
     out[:, rows] = reach()
@@ -575,9 +553,8 @@ def _hits_normal(rng, size, n, m, effect, z, side, sigma):
 
 
 def _hits_uniform(rng, size, n, m, effect, z, side, width):
-    _check_cells(size, max(n, m))
     effect /= width
-    xbar0 = _by_chunks(size, n, lambda k: _row_mean(rng.random((k, n)) - 0.5))
+    xbar0 = _by_chunks(size, n, lambda k: (rng.random((k, n)) - 0.5).mean(axis=1))
 
     def gaps(rows, pairs):
         d = _uniform_gap(rng, (pairs, rows.size))
@@ -588,7 +565,6 @@ def _hits_uniform(rng, size, n, m, effect, z, side, width):
 
 
 def _hits_gamma(rng, size, n, m, effect, z, side, shape, scale):
-    _check_cells(size, 2 * m)
     effect /= scale
     xbar0 = rng.standard_gamma(n * shape, size) / n - shape
 
@@ -603,7 +579,7 @@ def _score_hits(size, n, m, z, side, scores):
     # scores and, unless the effect is 0, their shifted scores
     import numpy as np
 
-    xbars = _by_chunks(size, n, lambda k: np.stack([_row_mean(s) for s in scores((k, n))]))
+    xbars = _by_chunks(size, n, lambda k: np.stack([s.mean(axis=1) for s in scores((k, n))]))
 
     def gaps(rows, pairs):
         return tuple(_squared_gaps(s) for s in scores((2 * pairs, rows.size)))
@@ -626,8 +602,6 @@ def _cauchy_score(w: np.ndarray) -> np.ndarray:
 
 
 def _hits_cauchy_score(rng, size, n, m, effect, z, side):
-    _check_cells(size, max(n, 2 * m))
-
     def scores(shape):
         w = _standard_cauchy(rng, shape)
         null = _cauchy_score(w)
@@ -640,8 +614,6 @@ def _hits_gamma_score(rng, size, n, m, effect, z, side):
     # unit-rate exponential data; a location shift of size theta adds an
     # independent Gamma(theta) by shape additivity
     import numpy as np
-
-    _check_cells(size, max(n, 2 * m))
 
     def scores(shape):
         w = rng.standard_exponential(shape)
@@ -670,7 +642,8 @@ class Family:
     (CgfModel, TailIndex)); kind "score" is a location score whose
     underlying observation moves by the effect (model returns a
     ScoreModel).  params maps each parameter to its default, None marking a
-    required one; model and hits take exactly these as keywords.
+    required one; model and hits take exactly these as keywords.  draws(n, m)
+    is the most raw draws hits can make for one statistic.
     """
 
     name: str
@@ -678,6 +651,7 @@ class Family:
     params: dict[str, float | None]
     model: Callable[..., Any]
     hits: Callable[..., tuple[np.ndarray, np.ndarray]]
+    draws: Callable[[int, int], int]
 
     def kwargs(self, given: Mapping[str, Any]) -> dict[str, Any]:
         """This family's parameters from given, defaults filled in, others ignored."""
@@ -691,20 +665,30 @@ class Family:
 FAMILIES: dict[str, Family] = {
     family.name: family
     for family in (
-        Family("normal", "shift", {"sigma": 1.0}, normal_family, _hits_normal),
-        Family("uniform", "shift", {"width": 1.0}, uniform_family, _hits_uniform),
         Family(
-            "gamma", "shift", {"shape": None, "scale": 1.0}, gamma_family, _hits_gamma
+            "normal", "shift", {"sigma": 1.0}, normal_family, _hits_normal,
+            lambda n, m: 2,
         ),
         Family(
-            "normal-score",
-            "score",
-            {"sigma": 1.0},
-            normal_score_model,
-            _hits_normal,
+            "uniform", "shift", {"width": 1.0}, uniform_family, _hits_uniform,
+            lambda n, m: n + m,
         ),
-        Family("cauchy-score", "score", {}, cauchy_score_model, _hits_cauchy_score),
-        Family("gamma-score", "score", {}, gamma_score_model, _hits_gamma_score),
+        Family(
+            "gamma", "shift", {"shape": None, "scale": 1.0}, gamma_family, _hits_gamma,
+            lambda n, m: 1 + 2 * m,
+        ),
+        Family(
+            "normal-score", "score", {"sigma": 1.0}, normal_score_model, _hits_normal,
+            lambda n, m: 2,
+        ),
+        Family(
+            "cauchy-score", "score", {}, cauchy_score_model, _hits_cauchy_score,
+            lambda n, m: n + 2 * m,
+        ),
+        Family(
+            "gamma-score", "score", {}, gamma_score_model, _hits_gamma_score,
+            lambda n, m: 2 * (n + 2 * m),
+        ),
     )
 }
 SHIFT_FAMILIES = tuple(name for name, f in FAMILIES.items() if f.kind == "shift")
@@ -896,14 +880,18 @@ def optimal_split(cgf: CgfModel, tail: TailIndex) -> SplitOptimum:
 def pfdr_floor_limit(pi: float, rho: float, t_growth: float, t0: float) -> float:
     """Limiting lower bound on pFDR when the threshold grows like T = d N.
 
-    (1 - pi) / ((1 - pi) + pi exp((1 - rho) T t0)); decreasing in T.
+    (1 - pi) / ((1 - pi) + pi exp((1 - rho) T t0)); decreasing in T.  Where
+    exp((1 - rho) T t0) would overflow, it is the logistic 1 / (1 + e^y) of
+    y = (1 - rho) T t0 + ln pi - ln(1 - pi).
     """
     if not 0.0 < pi < 1.0:
         raise ValueError(f"pi must be in (0, 1), got {pi!r}")
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must be in (0, 1), got {rho!r}")
-    gain = math.exp(min((1.0 - rho) * t_growth * t0, 700.0))
-    return (1.0 - pi) / ((1.0 - pi) + pi * gain)
+    x = (1.0 - rho) * t_growth * t0
+    if x < 700.0:
+        return (1.0 - pi) / ((1.0 - pi) + pi * math.exp(x))
+    return 1.0 / (1.0 + exp_or_inf(x + math.log(pi) - math.log1p(-pi)))
 
 
 def _integer_plan(log_q: float, rate: float, rho: float) -> tuple[float, dict[str, float]]:

@@ -29,10 +29,11 @@ count.  simulate_pfdr counts each null on the side its flag picks and
 tail_ratio_mc on both.  A pair costs two raw observations, or one uniform
 for uniform's gap |Y1 - Y2| drawn by inversion.  Raw draws come in chunks
 of a fixed number of cells that are reduced to per-statistic means and sums
-at once, so a block's memory grows with its statistics, not with n + 2m.  A
-block whose raw draws could pass ldp_engine.MAX_DRAW_CELLS is refused with
-ValueError; the cap bounds the work of one block.  simulate_pfdr refuses a
-batch_nulls above the same cap before it draws anything.
+at once, and a block holds at most _TAIL_BLOCK statistics at a time, so
+its memory is bounded at any batch_nulls, n and m.  A run is refused with
+ValueError before its first draw when its statistics times their family's
+declared draws (and one flag each in simulate_pfdr), with _BLOCK_DRAWS per
+block, pass MAX_RUN_DRAWS.
 
 Block b draws from an SFC64 generator seeded by child b of
 SeedSequence(seed), so blocks have independent streams keyed by (seed, b);
@@ -47,19 +48,19 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
     import numpy as np
 
 from .ldp_engine import (
     FAMILIES,
-    MAX_DRAW_CELLS,
     SCORE_FAMILIES,
     SHIFT_FAMILIES,
     CgfModel,
     legendre,
 )
+from .numerics import _check_size
 
 __all__ = [
     "ThresholdSchedule",
@@ -72,17 +73,23 @@ __all__ = [
     "tail_ratio_mc",
     "bahadur_rao_tail",
     "THREADS_ENV_VAR",
+    "MAX_RUN_DRAWS",
     "SHIFT_FAMILIES",
     "SCORE_FAMILIES",
 ]
 
 THREADS_ENV_VAR = "PFDR_SIZER_THREADS"
 
-# trials per RNG block; fixed so the stream layout (hence the result) does
-# not depend on how many threads execute the blocks
+# statistics per RNG block, or per part of a batch; fixed so the stream
+# layout (hence the result) does not depend on how many threads run blocks
 _TAIL_BLOCK = 16_384
 
 DEFAULT_BATCH_NULLS = 10_000
+
+# the most raw draws one run may make; a block's set-up (about 10 us for its
+# generator and 5 to 100 us for its sampler) is charged as _BLOCK_DRAWS
+MAX_RUN_DRAWS = 2**32
+_BLOCK_DRAWS = 10_000
 
 
 class DegenerateScenarioError(RuntimeError):
@@ -167,8 +174,8 @@ class SimScenario:
             raise ValueError(f"effect must be >= 0 and finite, got {self.effect!r}")
         if not 0.0 <= self.pi <= 1.0:
             raise ValueError(f"pi must be in [0, 1], got {self.pi!r}")
-        if self.n < 1 or self.m < 1:
-            raise ValueError(f"need n >= 1 and m >= 1, got n={self.n}, m={self.m}")
+        _check_size("n", self.n)
+        _check_size("m", self.m)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials!r}")
         if self.seed < 0:
@@ -225,16 +232,25 @@ def _thread_count() -> int:
     return value
 
 
-def _run_blocks(fn: Callable[[int], tuple], blocks: Iterable[int]) -> list[tuple]:
+def _check_draws(stats: int, per_stat: int, blocks: int) -> None:
+    draws = stats * per_stat + blocks * _BLOCK_DRAWS
+    if draws > MAX_RUN_DRAWS:
+        from decimal import Decimal  # formats counts past float range
+        raise ValueError(
+            f"the run could make {Decimal(draws):.3e} raw draws, over MAX_RUN_DRAWS "
+            f"= 2^32 = {MAX_RUN_DRAWS}; lower trials, batch_nulls, n or m"
+        )
+
+
+def _run_blocks(fn: Callable[[int], tuple], blocks: int) -> list[tuple]:
     threads = _thread_count()
-    indices = list(blocks)
     if threads == 1:
-        return [fn(b) for b in indices]
+        return [fn(b) for b in range(blocks)]
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         # map preserves submission order, so reductions are deterministic
-        return list(pool.map(fn, indices))
+        return list(pool.map(fn, range(blocks)))
 
 
 def simulate_pfdr(
@@ -252,31 +268,29 @@ def simulate_pfdr(
 
     if batch_nulls < 1:
         raise ValueError(f"batch_nulls must be >= 1, got {batch_nulls!r}")
-    # every batch draws at least batch_nulls numbers at once, and the normal
-    # samplers never reach the per-block cell check
-    if batch_nulls > MAX_DRAW_CELLS:
-        raise ValueError(
-            f"batch_nulls = {batch_nulls!r} exceeds MAX_DRAW_CELLS = "
-            f"{MAX_DRAW_CELLS} draws per batch"
-        )
     z = scenario.schedule.z_at(scenario.n + scenario.m)
     family = FAMILIES[scenario.family]
     params = family.kwargs(scenario.params)
     n, m, effect = scenario.n, scenario.m, scenario.effect
+    total_nulls = scenario.trials * batch_nulls
+    _check_draws(total_nulls, family.draws(n, m) + 1, scenario.trials)
 
     def one_batch(idx: int) -> tuple[int, int]:
         rng = _rng_for(scenario.seed, idx)
-        theta = rng.random(batch_nulls) < scenario.pi
-        # each null counts on the side theta picks: false rejections on 0
-        hit0, hit1 = family.hits(rng, batch_nulls, n, m, effect, z, theta, **params)
-        v = int(np.count_nonzero(hit0))
-        return v, v + int(np.count_nonzero(hit1))
+        v = r = 0
+        for start in range(0, batch_nulls, _TAIL_BLOCK):
+            size = min(_TAIL_BLOCK, batch_nulls - start)
+            theta = rng.random(size) < scenario.pi
+            # each null counts on the side theta picks: false rejections on 0
+            hit0, hit1 = family.hits(rng, size, n, m, effect, z, theta, **params)
+            v0 = int(np.count_nonzero(hit0))
+            v, r = v + v0, r + v0 + int(np.count_nonzero(hit1))
+        return v, r
 
-    counts = _run_blocks(one_batch, range(scenario.trials))
+    counts = _run_blocks(one_batch, scenario.trials)
     ratios = np.array([v / r for v, r in counts if r > 0], dtype=float)
     total_v = sum(v for v, _ in counts)
     total_r = sum(r for _, r in counts)
-    total_nulls = scenario.trials * batch_nulls
     if ratios.size == 0:
         raise DegenerateScenarioError(scenario.trials, total_nulls)
     pfdr_hat = float(ratios.mean())
@@ -322,6 +336,7 @@ def tail_ratio_mc(
     trials = scenario.trials
 
     n_blocks = (trials + _TAIL_BLOCK - 1) // _TAIL_BLOCK
+    _check_draws(trials, family.draws(n, m), n_blocks)
 
     def one_block(idx: int) -> tuple[int, int, int]:
         size = min(_TAIL_BLOCK, trials - idx * _TAIL_BLOCK)
@@ -333,7 +348,7 @@ def tail_ratio_mc(
             int(np.count_nonzero(hit_num & hit_den)),
         )
 
-    counts = _run_blocks(one_block, range(n_blocks))
+    counts = _run_blocks(one_block, n_blocks)
     hits_num = sum(c[0] for c in counts)
     hits_den = sum(c[1] for c in counts)
     hits_joint = sum(c[2] for c in counts)

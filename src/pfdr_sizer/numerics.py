@@ -154,6 +154,21 @@ def _accumulate(log_terms: Iterable[float]) -> tuple[float, float]:
     return log_scale, total + comp
 
 
+# the largest integer size accepted: past 2^53 floats cannot tell n from n + 1
+_MAX_SIZE = 2**53
+
+
+def _check_size(name: str, value: int) -> None:
+    """Refuse an integer size below 1 or past _MAX_SIZE, naming it."""
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value!r}")
+    if value > _MAX_SIZE:
+        raise ValueError(
+            f"{name} must be at most 2^53 = {_MAX_SIZE}, past which floats cannot "
+            f"tell {name} from {name} + 1"
+        )
+
+
 def exp_or_inf(x: float) -> float:
     """exp(x), or inf from the point where exp overflows float range."""
     return math.inf if x >= 709.78 else math.exp(x)

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .numerics import exp_or_inf
+from .numerics import _check_size, exp_or_inf
 
 __all__ = [
     "PfdrTarget",
@@ -202,8 +202,7 @@ def min_n_search(
     when the curve returns a log below 0, and NonMonotoneCurveError when a
     check fails.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max!r}")
+    _check_size("n_max", n_max)
     log_q = target.log_q()
     cache: dict[int, float] = {}
 

@@ -471,6 +471,42 @@ EDGE_SIZES = [
 # optimize-split takes shift families only
 SHIFT_OF = {"normal-score": "normal", "cauchy-score": "uniform", "gamma-score": "gamma"}
 
+# integer flags at the edges of their ranges, of exact float integers and of
+# float range, each command's drawn over ordinary float flags; the run budget
+# and the 2^53 bound keep every call quick
+INT_EDGE_VALUES = ["0", "-1", "1", str(2**53 + 1), str(10**10), str(10**400)]
+_PLAN_TARGET = ["--alpha", "0.05", "--pi", "0.1"]
+INT_FLAGS = {
+    "plan-t": (["plan-t", *_PLAN_TARGET, "--snr", "1"], ("n-max", "seed")),
+    "plan-t-mixture": (
+        ["plan-t-mixture", *_PLAN_TARGET, "--atoms", "1:1"], ("n-max", "seed"),
+    ),
+    "plan-f": (["plan-f", *_PLAN_TARGET, "--delta", "1"], ("p", "n-max", "seed")),
+    "simulate": (
+        ["simulate", "--z0", "0.5", "--t-target", "1", "--shape", "2"],
+        ("n", "m", "trials", "batch-nulls", "min-hits", "seed"),
+    ),
+}
+# sizes that the float kernels or the run budget refuse past 2^53
+SIZE_FLAGS = {"p", "n-max", "n", "m", "trials"}
+
+
+def _edge_call(argv):
+    """main(argv)'s exit code, stdout and stderr; no traceback or warning."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert caught == []
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == "" and "error: " in err.getvalue()
+    else:
+        assert err.getvalue() == ""
+        assert (json.loads(out.getvalue())["status"] == "ok") == (code == 0)
+    return code, out.getvalue(), err.getvalue()
+
 
 def _log_curve(command, effect):
     """The public log kernel an exact plan of this command searches."""
@@ -497,21 +533,11 @@ class TestEdgeValues:
     @example(command="plan-t", alpha="0.05", pi="0.05", effect="1e+300")
     @example(command="plan-f", alpha="0.05", pi="0.05", effect="1e+300")
     def test_exit_status_and_crossing(self, command, alpha, pi, effect):
-        # no traceback (an exception out of main) and no warning of any kind
         argv = EDGE_PLANS[command](effect) + ["--alpha", alpha, "--pi", pi]
-        out, err = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
-        assert caught == []
-        assert code in (0, 1, 2)
+        code, out, _ = _edge_call(argv)
         if code == 2:
-            assert out.getvalue() == "" and "error: " in err.getvalue()
             return
-        report = json.loads(out.getvalue())
-        assert (report["status"] == "ok") == (code == 0)
-        n = report["outputs"].get("n_exact")
+        n = json.loads(out)["outputs"].get("n_exact")
         if code == 0 and n is not None:
             log_q = PfdrTarget(float(alpha), float(pi)).log_q()
             log_rho = _log_curve(command, float(effect))
@@ -551,19 +577,34 @@ class TestEdgeValues:
             argv += [f"--{flag}", value]
         if command == "simulate":
             argv += ["--estimand", estimand, *EDGE_SIZES]
-        out, err = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
-        assert caught == []
-        assert code in (0, 1, 2)
-        if code == 2:
-            assert out.getvalue() == "" and "error: " in err.getvalue()
-            assert "bracket_hint" not in err.getvalue()
-        else:
-            assert err.getvalue() == ""
-            assert (json.loads(out.getvalue())["status"] == "ok") == (code == 0)
+        _, _, err = _edge_call(argv)
+        assert "bracket_hint" not in err
+
+    @settings(max_examples=300)
+    @given(
+        command=st.sampled_from(sorted(INT_FLAGS)),
+        family=st.sampled_from(sorted(FAMILIES)),
+        estimand=st.sampled_from(["pfdr", "tail-ratio"]),
+        values=st.lists(st.sampled_from(INT_EDGE_VALUES), min_size=6, max_size=6),
+    )
+    @example(
+        command="simulate", family="uniform", estimand="pfdr",
+        values=["3", "3", "10000000000", "50", "1", "0"],
+    )
+    @example(
+        command="simulate", family="gamma", estimand="tail-ratio",
+        values=["3", "3", "10000000000", "1", "1", str(10**400)],
+    )
+    def test_integer_flags(self, command, family, estimand, values):
+        base, flags = INT_FLAGS[command]
+        argv = list(base)
+        if command == "simulate":
+            argv += ["--family", family, "--estimand", estimand]
+        for flag, value in zip(flags, values):
+            argv += [f"--{flag}", value]
+        code, _, _ = _edge_call(argv)
+        if any(f in SIZE_FLAGS and int(v) > 2**53 for f, v in zip(flags, values)):
+            assert code == 2
 
 
 class TestUsageErrors:
@@ -588,7 +629,7 @@ class TestUsageErrors:
         )
         assert code == 2
         assert out == ""
-        assert "MAX_DRAW_CELLS" in err
+        assert "over MAX_RUN_DRAWS = 2^32" in err
 
     def test_batch_nulls_above_cap(self, capsys, monkeypatch):
         def no_draws(seed, block):
@@ -604,7 +645,37 @@ class TestUsageErrors:
         )
         assert code == 2
         assert out == ""
-        assert "batch_nulls = 10000000000 exceeds MAX_DRAW_CELLS" in err
+        assert "raw draws, over MAX_RUN_DRAWS = 2^32 = 4294967296" in err
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            ("simulate --family uniform --n 3 --m 3 --z0 0.5 --batch-nulls 50 "
+             "--trials 10000000000", "over MAX_RUN_DRAWS"),
+            (f"simulate --family normal --n 3 --m 3 --z0 0.5 --trials {10**400}",
+             "over MAX_RUN_DRAWS"),
+            ("simulate --family gamma --shape 2 --estimand tail-ratio --t-target 1 "
+             "--n 3 --m 3 --z0 0.5 --trials 10000000000", "over MAX_RUN_DRAWS"),
+            (f"simulate --family normal --n {10**400} --m 3 --z0 0.5 --trials 2",
+             "n must be at most 2^53"),
+            (f"plan-f --alpha 0.05 --pi 0.1 --delta 0.3 --p {10**400}",
+             "p must be at most 2^53"),
+            (f"plan-t --alpha 0.05 --pi 0.1 --snr 1e-300 --n-max {10**400}",
+             "n_max must be at most 2^53"),
+        ],
+        ids=["uniform-batches", "trials-1e400", "gamma-tail", "n-1e400", "p-1e400",
+             "n-max-1e400"],
+    )
+    def test_sizes_past_the_budget_or_2_53(self, capsys, monkeypatch, args, message):
+        # refused before any draw, with one line and no traceback
+        def no_draws(seed, block):
+            raise AssertionError("simulate drew before checking its sizes")
+
+        monkeypatch.setattr(mc_verify, "_rng_for", no_draws)
+        code, out, err = _run(capsys, args.split())
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
 
     @pytest.mark.parametrize(
         "extra,message",

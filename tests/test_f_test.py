@@ -253,3 +253,8 @@ class TestPlanF:
             FEffect(delta=-0.1, p=3)
         with pytest.raises(ValueError):
             FEffect(delta=0.5, p=0)
+        # past 2^53 a float cannot tell p from p + 1; 10^400 is past float range
+        for p in (2**53 + 1, 10**400):
+            with pytest.raises(ValueError, match="p must be at most 2\\^53"):
+                FEffect(delta=0.5, p=p)
+        assert FEffect(delta=0.5, p=2**53).p == 2**53

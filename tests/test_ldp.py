@@ -530,6 +530,23 @@ class TestPfdrFloor:
     def test_huge_growth_saturates_to_zero(self):
         assert pfdr_floor_limit(0.1, 0.5, 1e6, 1.0) == pytest.approx(0.0, abs=1e-300)
 
+    @pytest.mark.parametrize("pi", [1e-320, 1e-300, 1e-5, 0.5, 1.0 - 1e-16])
+    @pytest.mark.parametrize("growth", [1399.0, 1400.0, 1480.0, 2000.0])
+    def test_past_exp_range_matches_exact(self, pi, growth):
+        # (1 - rho) T t0 = growth / 2 crosses 700, where exp nears overflow
+        with mpmath.workdps(50):
+            p, gain = mpmath.mpf(pi), mpmath.exp(mpmath.mpf(growth) / 2)
+            exact = float((1 - p) / ((1 - p) + p * gain))
+        assert pfdr_floor_limit(pi, 0.5, growth, 1.0) == pytest.approx(exact, rel=1e-12)
+
+    def test_floor_at_plan_for_a_tiny_prior(self):
+        # at pi = 1e-320, ln Q = 739.8: the plan's floor is alpha, not 1
+        cgf, tail = make_family("normal")
+        for pi in (1e-320, 0.1):
+            report = n_star_general(PfdrTarget(0.05, pi), cgf, tail, SplitSpec(0.3), 0.5)
+            floor = report.diagnostics["pfdr_floor_at_plan"]
+            assert 0.04 < floor <= 0.05
+
 
 class TestEmpiricalCgf:
     def test_matches_normal_on_large_sample(self):

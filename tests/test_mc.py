@@ -15,7 +15,6 @@ from pfdr_sizer.ldp_engine import (
     _CHUNK_CELLS,
     EULER_GAMMA,
     FAMILIES,
-    MAX_DRAW_CELLS,
     SplitSpec,
     _cauchy_score,
     _staged_hits,
@@ -25,6 +24,9 @@ from pfdr_sizer.ldp_engine import (
     solve_t0,
 )
 from pfdr_sizer.mc_verify import (
+    _BLOCK_DRAWS,
+    _TAIL_BLOCK,
+    MAX_RUN_DRAWS,
     SCORE_FAMILIES,
     SHIFT_FAMILIES,
     THREADS_ENV_VAR,
@@ -86,7 +88,7 @@ class TestScenarioValidation:
         "field,value",
         [("trials", 0), ("pi", 1.5), ("pi", -0.1), ("n", 0), ("m", 0),
          ("seed", -1), ("effect", -0.5), ("effect", math.inf),
-         ("effect", math.nan)],
+         ("effect", math.nan), ("n", 2**53 + 1), ("m", 2**53 + 1), ("n", 10**400)],
     )
     def test_bad_numbers(self, field, value):
         kwargs = dict(
@@ -363,6 +365,39 @@ class TestBlockMemory:
         assert hit0.sum() > 4000 and hit1.sum() > 4000
 
 
+class _CountingRng:
+    """A Generator that counts the variates its methods return."""
+
+    def __init__(self, rng):
+        self.rng, self.count = rng, 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.count += np.size(out)
+            return out
+
+        return counted
+
+
+class TestDeclaredDraws:
+    # the run budget trusts each family's declared draws per statistic; at a
+    # low threshold most rows run through every stage of scale pairs
+    @pytest.mark.parametrize("m", [1, 7, 40])
+    @pytest.mark.parametrize("n", [1, 7, 40])
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_declared_draws_bound_the_sampler(self, family, n, m):
+        size = 500
+        side = _stream(9).random(size) < 0.5
+        for effect, picked in [(0.0, None), (0.7, None), (0.7, side)]:
+            rng = _CountingRng(_stream(8))
+            params = FAMILIES[family].kwargs(PINNED_PARAMS[family])
+            FAMILIES[family].hits(rng, size, n, m, effect, 1e-3, picked, **params)
+            assert 0 < rng.count <= size * FAMILIES[family].draws(n, m)
+
+
 def _served_gaps(tables):
     """gaps(rows, pairs) serving the next columns of fixed (size, m) tables.
 
@@ -613,31 +648,83 @@ class TestSimulatePfdr:
         assert abs(result.pfdr_hat - 0.6) < 5.0 * result.stderr
 
 
+def _no_draws(seed, block):
+    raise AssertionError("the run drew before checking its budget")
+
+
 class TestMemoryGuard:
-    # at n = m = 10^6 one block of raw draws would be 16384 x 2e6 float64
-    # cells, about 260 GB; the normal families draw two numbers per statistic
+    # at n = m = 10^6 a run of raw draws would cost 2e13 draws; the normal
+    # families draw two numbers per statistic
     SIZES = dict(n=1_000_000, m=1_000_000, pi=0.5, effect=0.0, seed=1)
+    REFUSED = f"over MAX_RUN_DRAWS = 2\\^32 = {MAX_RUN_DRAWS}"
 
     def test_raw_draw_block_above_cap_is_refused(self):
         scenario = SimScenario(
             family="uniform", schedule=_fixed(0.002), trials=10_000_000, **self.SIZES
         )
-        with pytest.raises(ValueError, match=f"MAX_DRAW_CELLS = {MAX_DRAW_CELLS}"):
+        with pytest.raises(ValueError, match=self.REFUSED):
             tail_ratio_mc(scenario, t_target=2000.0)
 
     def test_batch_nulls_above_cap_is_refused_before_any_draw(self, monkeypatch):
-        # the normal samplers never reach the per-block check, and each batch
-        # draws its theta flags first, so batch_nulls is checked up front
-        def no_draws(seed, block):
-            raise AssertionError("simulate_pfdr drew before checking batch_nulls")
-
-        monkeypatch.setattr(mc_verify, "_rng_for", no_draws)
+        monkeypatch.setattr(mc_verify, "_rng_for", _no_draws)
         scenario = SimScenario(
             family="normal", effect=0.0, pi=0.5, n=5, m=5,
             schedule=_fixed(0.4), trials=2, seed=1,
         )
-        with pytest.raises(ValueError, match="batch_nulls = 134217729 exceeds"):
-            simulate_pfdr(scenario, batch_nulls=MAX_DRAW_CELLS + 1)
+        with pytest.raises(ValueError, match=self.REFUSED):
+            simulate_pfdr(scenario, batch_nulls=MAX_RUN_DRAWS)
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_budget_is_checked_before_any_draw(self, family, monkeypatch):
+        # 10^10 statistics of any family in either estimator, and a count past
+        # float range; a refused run formats its count without overflow
+        monkeypatch.setattr(mc_verify, "_rng_for", _no_draws)
+        for trials, count in [(10**10, r"e\+1\d"), (10**400, r"e\+40\d")]:
+            scenario = SimScenario(
+                family=family, effect=0.5, pi=0.5, n=3, m=3, schedule=_fixed(0.5),
+                trials=trials, seed=1, params=PINNED_PARAMS[family],
+            )
+            with pytest.raises(ValueError, match=f"{count}.* raw draws, {self.REFUSED}"):
+                tail_ratio_mc(scenario, t_target=1.0)
+            with pytest.raises(ValueError, match=f"{count}.* raw draws, {self.REFUSED}"):
+                simulate_pfdr(scenario, batch_nulls=1)
+
+    def test_budget_counts_statistics_and_blocks(self, monkeypatch):
+        # the largest runs within the budget pass and the next larger do not;
+        # the blocks are not run
+        scenario = dict(
+            family="normal", effect=0.0, pi=0.5, n=5, m=5, schedule=_fixed(0.4), seed=1,
+        )
+        # tail_ratio_mc: 2 draws per normal statistic, whole blocks
+        blocks = MAX_RUN_DRAWS // (_TAIL_BLOCK * 2 + _BLOCK_DRAWS)
+        monkeypatch.setattr(mc_verify, "_run_blocks", lambda fn, n: [(0, 0, 0)] * n)
+        with pytest.raises(InsufficientHitsError):
+            tail_ratio_mc(SimScenario(trials=blocks * _TAIL_BLOCK, **scenario), 1.0)
+        with pytest.raises(ValueError, match=self.REFUSED):
+            tail_ratio_mc(SimScenario(trials=(blocks + 1) * _TAIL_BLOCK, **scenario), 1.0)
+        # simulate_pfdr: one batch, and each null draws its false flag too
+        nulls = (MAX_RUN_DRAWS - _BLOCK_DRAWS) // 3
+        monkeypatch.setattr(mc_verify, "_run_blocks", lambda fn, n: [(0, 0)] * n)
+        with pytest.raises(DegenerateScenarioError):
+            simulate_pfdr(SimScenario(trials=1, **scenario), batch_nulls=nulls)
+        with pytest.raises(ValueError, match=self.REFUSED):
+            simulate_pfdr(SimScenario(trials=1, **scenario), batch_nulls=nulls + 1)
+
+    def test_large_batch_holds_one_block_of_nulls(self):
+        # a batch draws _TAIL_BLOCK nulls at a time, so 200,000 of them hold
+        # what 16,384 do (7.6 MiB drawn whole)
+        scenario = SimScenario(
+            family="normal", effect=0.5, pi=0.5, n=5, m=5,
+            schedule=_fixed(0.5), trials=1, seed=3,
+        )
+        tracemalloc.start()
+        try:
+            result = simulate_pfdr(scenario, batch_nulls=200_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        assert result.rejections > 0
 
     def test_sufficient_statistics_skip_the_cap(self):
         # z sqrt(n) = 2 and, with d = T / (n + m), noncentrality d sqrt(n) = 1

@@ -120,6 +120,14 @@ class TestMinNSearch:
         assert exc.value.rho_at_n_max == pytest.approx(2.0 - 1.0 / 500)
         assert exc.value.q_value == pytest.approx(171.0, rel=1e-12)
 
+    @pytest.mark.parametrize("n_max", [0, -1, 2**53 + 1, 10**400])
+    def test_n_max_outside_exact_integers_is_refused(self, n_max):
+        # past 2^53 the curve's float n cannot tell n from n + 1, so a plan
+        # there would not be exact
+        curve = LrSupCurve(lambda n: math.log(n))
+        with pytest.raises(ValueError, match="n_max must be"):
+            min_n_search(curve, PfdrTarget(alpha=0.05, pi=0.1), n_max=n_max)
+
     def test_non_monotone_curve_is_an_error(self):
         # doubling lands on a bracket whose interior hides an earlier crossing
         table = {1: 1.0, 2: 3.5, 3: 6.0, 4: 2.0, 5: 2.0, 6: 2.0, 7: 2.0}
