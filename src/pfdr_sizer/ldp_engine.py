@@ -421,19 +421,19 @@ def gamma_score_density(x: float) -> float:
 # xbar is N(0, 1 / n), and independently m S^2 is chi-square with m
 # degrees of freedom, since each pair difference is N(0, 2).
 #
-# The other families draw every row's mean first, in row chunks of about
-# _CHUNK_CELLS cells; numpy fills arrays row-major, so the means consume the
-# stream exactly as one (size, n) draw would (gamma draws one Gamma(n shape)
-# per row, the law of a sum of n Gamma(shape) draws; gamma-score draws each
-# chunk's exponentials and then its gammas).  _staged_hits then draws the m
-# scale pairs by stages, only for the rows that can still reject.  Within a
-# stage the pairs of the k rows still in play go in chunks of at most
-# _CHUNK_CELLS raw cells, or of one pair where k passes _CHUNK_CELLS / 2:
-# one (2p, k) draw holds p pairs of k rows, pair-major, a pair in two
-# consecutive rows.  Uniform draws each pair's gap |Y1 - Y2| directly, by
-# inversion of its law, one (p, k) draw; cauchy-score draws its
-# observations by inversion too.  A block thus holds O(size) memory
-# whatever n and m are.
+# The other families draw every row's mean first, in chunks of about
+# _CHUNK_CELLS cells: rows, or parts of one wider row.  numpy fills arrays
+# row-major, so the means consume the stream exactly as one (size, n) draw
+# would (gamma draws one Gamma(n shape) per row, the law of a sum of n
+# Gamma(shape) draws; gamma-score draws each chunk's exponentials and then
+# its gammas).  _staged_hits then draws the m scale pairs by stages, only for
+# the rows that can still reject.  Within a stage the pairs of the k rows
+# still in play go in chunks of at most _CHUNK_CELLS raw cells, or of one
+# pair where k passes _CHUNK_CELLS / 2: one (2p, k) draw holds p pairs of k
+# rows, pair-major, a pair in two consecutive rows.  Uniform draws each
+# pair's gap |Y1 - Y2| directly, by inversion of its law, one (p, k) draw;
+# cauchy-score draws its observations by inversion too.  A block thus holds
+# O(size) memory whatever n and m are.
 
 # cells per chunk of raw draws: 256 KiB per float64 array, so a chunk's
 # arrays stay in L2 cache
@@ -445,15 +445,21 @@ _STAGES = (8, 4, 2, 1)
 
 
 def _by_chunks(
-    size: int, columns: int, chunk: Callable[[int], np.ndarray]
+    size: int, columns: int, chunk: Callable[[int, int], np.ndarray]
 ) -> np.ndarray:
-    # chunk(k) draws the next k rows of columns raw observations and returns
-    # their statistics, last axis over rows; chunks run in row order
+    # the means of size rows of columns observations.  chunk(k, c) draws the
+    # next c observations of each of the next k rows and returns their sums,
+    # last axis over rows; a row wider than _CHUNK_CELLS goes in column chunks
     import numpy as np
 
     step = max(1, _CHUNK_CELLS // columns)
-    parts = [chunk(min(step, size - start)) for start in range(0, size, step)]
-    return np.concatenate(parts, axis=-1)
+
+    def sums(k):
+        cols = range(0, columns, _CHUNK_CELLS)
+        return sum(chunk(k, min(_CHUNK_CELLS, columns - first)) for first in cols)
+
+    parts = [sums(min(step, size - start)) for start in range(0, size, step)]
+    return np.concatenate(parts, axis=-1) / columns
 
 
 def _squared_gaps(obs: np.ndarray) -> np.ndarray:
@@ -554,7 +560,7 @@ def _hits_normal(rng, size, n, m, effect, z, side, sigma):
 
 def _hits_uniform(rng, size, n, m, effect, z, side, width):
     effect /= width
-    xbar0 = _by_chunks(size, n, lambda k: (rng.random((k, n)) - 0.5).mean(axis=1))
+    xbar0 = _by_chunks(size, n, lambda k, c: (rng.random((k, c)) - 0.5).sum(axis=1))
 
     def gaps(rows, pairs):
         d = _uniform_gap(rng, (pairs, rows.size))
@@ -579,7 +585,7 @@ def _score_hits(size, n, m, z, side, scores):
     # scores and, unless the effect is 0, their shifted scores
     import numpy as np
 
-    xbars = _by_chunks(size, n, lambda k: np.stack([s.mean(axis=1) for s in scores((k, n))]))
+    xbars = _by_chunks(size, n, lambda k, c: np.stack([s.sum(axis=1) for s in scores((k, c))]))
 
     def gaps(rows, pairs):
         return tuple(_squared_gaps(s) for s in scores((2 * pairs, rows.size)))
@@ -880,17 +886,15 @@ def optimal_split(cgf: CgfModel, tail: TailIndex) -> SplitOptimum:
 def pfdr_floor_limit(pi: float, rho: float, t_growth: float, t0: float) -> float:
     """Limiting lower bound on pFDR when the threshold grows like T = d N.
 
-    (1 - pi) / ((1 - pi) + pi exp((1 - rho) T t0)); decreasing in T.  Where
-    exp((1 - rho) T t0) would overflow, it is the logistic 1 / (1 + e^y) of
-    y = (1 - rho) T t0 + ln pi - ln(1 - pi).
+    (1 - pi) / ((1 - pi) + pi exp((1 - rho) T t0)); decreasing in T.  It is
+    computed as the logistic 1 / (1 + e^y) of y = (1 - rho) T t0 + ln pi -
+    ln(1 - pi), which needs no exp of (1 - rho) T t0 itself.
     """
     if not 0.0 < pi < 1.0:
         raise ValueError(f"pi must be in (0, 1), got {pi!r}")
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must be in (0, 1), got {rho!r}")
     x = (1.0 - rho) * t_growth * t0
-    if x < 700.0:
-        return (1.0 - pi) / ((1.0 - pi) + pi * math.exp(x))
     return 1.0 / (1.0 + exp_or_inf(x + math.log(pi) - math.log1p(-pi)))
 
 

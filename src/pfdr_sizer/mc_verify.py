@@ -28,12 +28,12 @@ statistic is counted on, it cannot reject, and dropping it changes no
 count.  simulate_pfdr counts each null on the side its flag picks and
 tail_ratio_mc on both.  A pair costs two raw observations, or one uniform
 for uniform's gap |Y1 - Y2| drawn by inversion.  Raw draws come in chunks
-of a fixed number of cells that are reduced to per-statistic means and sums
-at once, and a block holds at most _TAIL_BLOCK statistics at a time, so
-its memory is bounded at any batch_nulls, n and m.  A run is refused with
-ValueError before its first draw when its statistics times their family's
-declared draws (and one flag each in simulate_pfdr), with _BLOCK_DRAWS per
-block, pass MAX_RUN_DRAWS.
+of a fixed number of cells, a wide row split in parts, reduced at once to
+per-statistic means and sums, and a block holds at most _TAIL_BLOCK
+statistics at a time, so its memory is bounded at any batch_nulls, n and
+m.  A run is refused with ValueError before its first draw when its
+statistics times their family's declared draws (and one flag each in
+simulate_pfdr), with _BLOCK_DRAWS per block, pass MAX_RUN_DRAWS.
 
 Block b draws from an SFC64 generator seeded by child b of
 SeedSequence(seed), so blocks have independent streams keyed by (seed, b);

@@ -619,7 +619,11 @@ class TestUsageErrors:
         assert code == 2
         assert "trials" in err
 
-    def test_raw_draws_above_cap(self, capsys):
+    def test_raw_draws_above_cap(self, capsys, monkeypatch):
+        def no_draws(seed, block):
+            raise AssertionError("simulate drew before checking its budget")
+
+        monkeypatch.setattr(mc_verify, "_rng_for", no_draws)
         code, out, err = _run(
             capsys,
             [

@@ -232,6 +232,13 @@ def _stream(seed, block=0):
     return np.random.Generator(np.random.SFC64(child))
 
 
+def _row_means(x):
+    # row means summed in column chunks of _CHUNK_CELLS, so a row wider than
+    # that is added as the sampler adds it; one chunk is x.mean(axis=1)
+    n = x.shape[1]
+    return sum(x[:, j:j + _CHUNK_CELLS].sum(axis=1) for j in range(0, n, _CHUNK_CELLS)) / n
+
+
 def _whole_means(family, rng, size, n, effect, **params):
     """The raw-draw families' row means as one (size, n) draw each.
 
@@ -239,22 +246,28 @@ def _whole_means(family, rng, size, n, effect, **params):
     the width or scale, and the shifted mean is the null's plus effect / it.
     """
     if family == "uniform":
-        xbar0 = (rng.random((size, n)) - 0.5).mean(axis=1)
+        xbar0 = _row_means(rng.random((size, n)) - 0.5)
         return xbar0, xbar0 + effect / params["width"]
     if family == "gamma":
         xbar0 = rng.standard_gamma(n * params["shape"], size) / n - params["shape"]
         return xbar0, xbar0 + effect / params["scale"]
     if family == "cauchy-score":
         w = np.tan(np.pi * (rng.random((size, n)) - 0.5))
-        return _cauchy(w).mean(axis=1), _cauchy(w + effect).mean(axis=1)
-    # gamma-score draws each row chunk's exponentials, then its gammas
-    parts, step = [], max(1, _CHUNK_CELLS // n)
+        return _row_means(_cauchy(w)), _row_means(_cauchy(w + effect))
+    # gamma-score draws each chunk's exponentials, then its gammas; a chunk
+    # is some rows, or part of one row wider than _CHUNK_CELLS
+    step, width = max(1, _CHUNK_CELLS // n), min(n, _CHUNK_CELLS)
+    null, shifted = np.zeros((size, n)), np.zeros((size, n))
     for start in range(0, size, step):
-        rows = min(step, size - start)
-        w = rng.standard_exponential((rows, n))
-        g = rng.standard_gamma(effect, (rows, n)) if effect > 0.0 else 0.0
-        parts.append([np.log(w) + EULER_GAMMA, np.log(w + g) + EULER_GAMMA])
-    return tuple(np.concatenate([part[j].mean(axis=1) for part in parts]) for j in (0, 1))
+        rows = slice(start, min(start + step, size))
+        for first in range(0, n, width):
+            cols = slice(first, min(first + width, n))
+            shape = null[rows, cols].shape
+            w = rng.standard_exponential(shape)
+            g = rng.standard_gamma(effect, shape) if effect > 0.0 else 0.0
+            null[rows, cols] = np.log(w) + EULER_GAMMA
+            shifted[rows, cols] = np.log(w + g) + EULER_GAMMA
+    return _row_means(null), _row_means(shifted)
 
 
 def _whole_gaps(family, rng, rows, pairs, effect, **params):
@@ -313,6 +326,9 @@ class TestRowChunks:
         effect=0.0, seed=6,
     )
     @example(family="gamma-score", size=5, n=3, m=7, effect=0.0, seed=7)
+    @example(
+        family="gamma-score", size=2, n=2 * _CHUNK_CELLS + 3, m=3, effect=0.4, seed=8,
+    )
     def test_chunks_match_one_whole_block(self, family, size, n, m, effect, seed):
         params = CHUNK_PARAMS.get(family, {})
         chunked, whole = _stream(seed), _stream(seed)
@@ -363,6 +379,20 @@ class TestBlockMemory:
             tracemalloc.stop()
         assert peak < 4 * 2**20
         assert hit0.sum() > 4000 and hit1.sum() > 4000
+
+    @pytest.mark.parametrize("family", ["uniform", "cauchy-score", "gamma-score"])
+    def test_wide_row_peak_stays_small(self, family):
+        # one row of 2^22 observations, 32 MiB per array drawn whole, goes in
+        # column chunks of _CHUNK_CELLS cells
+        params = CHUNK_PARAMS.get(family, {})
+        rng = _stream(2)
+        tracemalloc.start()
+        try:
+            FAMILIES[family].hits(rng, 1, 2**22, 1, 0.5, 1e-3, None, **params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class _CountingRng:
@@ -658,7 +688,8 @@ class TestMemoryGuard:
     SIZES = dict(n=1_000_000, m=1_000_000, pi=0.5, effect=0.0, seed=1)
     REFUSED = f"over MAX_RUN_DRAWS = 2\\^32 = {MAX_RUN_DRAWS}"
 
-    def test_raw_draw_block_above_cap_is_refused(self):
+    def test_raw_draw_block_above_cap_is_refused(self, monkeypatch):
+        monkeypatch.setattr(mc_verify, "_rng_for", _no_draws)
         scenario = SimScenario(
             family="uniform", schedule=_fixed(0.002), trials=10_000_000, **self.SIZES
         )
