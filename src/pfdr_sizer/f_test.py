@@ -38,7 +38,7 @@ if TYPE_CHECKING:
 
 from .normal_t import _LOG_RESCALE, _RESCALE_AT
 from .numerics import _MAX_CHUNK_CELLS, _REL_TOL, _check_budget, _check_size, exp_or_inf
-from .numerics import find_root_increasing, log_factorials, log_sum_rows
+from .numerics import find_root_increasing, log_sum_rows, stirlerr
 from .pfdr_core import DEFAULT_N_MAX, LrSupCurve, PfdrTarget, PlanReport, min_n_search
 
 __all__ = [
@@ -105,11 +105,13 @@ def _log_k(p: int, n: int, delta: float) -> float:
     at p = 1 as n grows, where the series tends to cosh, so no term nears
     float range.
 
-    In the window, log b_{p,n,k0} is a pairwise sum of log1p(n / (p + 2j))
-    over j < k0, by blocks, carried through each chunk as a running sum;
-    log k! is sliced from the shared table of numerics.log_factorials.
-    log_sum_rows refuses a mode past the term budget before any chunk, so
-    the table is not built for it.
+    In the window, each chunk is the log of its first term k0 times e^-A,
+    then a running sum of the logs of those same ratios, each ratio formed
+    first, so a step rounds by a few ulp of 1.  log b_{p,n,k0} is a
+    pairwise sum of log1p(n / (p + 2j)) over j < k0, by blocks.  With
+    log k0! in Stirling's form, the rest of the first term is
+    k0 log1p((A - k0) / k0) + (k0 - A) - log(2 pi k0) / 2 - stirlerr(k0),
+    or -A at k0 = 0, so no number near A ln A is formed.
     """
     a = 0.5 * (n + p) * delta * delta
     if a == 0.0:  # delta = 0, or A underflowed: K = 1
@@ -130,19 +132,22 @@ def _log_k(p: int, n: int, delta: float) -> float:
             j += 1.0
     import numpy as np
 
-    log_a, block = math.log(a), _MAX_CHUNK_CELLS
+    block = _MAX_CHUNK_CELLS
 
     def chunk(k0: int, k1: int) -> np.ndarray:
-        lb = math.fsum(
+        first = -a
+        if k0:
+            first = k0 * math.log1p((a - k0) / k0) + (k0 - a)
+            first -= 0.5 * math.log(2.0 * math.pi * k0) + stirlerr(k0)
+        first += math.fsum(
             float(np.log1p(n / (p + 2.0 * np.arange(j, min(j + block, k0)))).sum())
             for j in range(0, k0, block)
         )
-        k = np.arange(k0, k1, dtype=float)
-        step = np.log1p(n / (p + 2.0 * k))
-        lbs = np.cumsum(np.concatenate(([lb], step[:-1])))
-        return (lbs + k * log_a - log_factorials(k1)[k0:k1])[None, :]
+        k = np.arange(k0, k1 - 1, dtype=float)
+        step = np.log(a * (n + p + 2.0 * k) / ((k + 1.0) * (p + 2.0 * k)))
+        return np.cumsum(np.concatenate(([first], step)))[None, :]
 
-    return -a + float(log_sum_rows(chunk, mode, mode)[0])
+    return float(log_sum_rows(chunk, mode, mode)[0])
 
 
 def log_lr_sup_f(p: int, n: int, delta: float) -> float:

@@ -237,13 +237,26 @@ def log_lr_sup_t_mixture(n: int, mixture: SnrMixture) -> float:
 
     All atoms are summed together, one row each: the gamma ratios a_{n,k}
     do not depend on the atom, so each chunk computes them once.  The row of
-    atom d peaks near k = (d^2 + sqrt(d^4 + 4 d^2 n)) / 2 - 1.
+    atom d peaks near k = (d^2 + sqrt(d^4 + 4 d^2 n)) / 2 - 1.  The term
+    budget checks the largest d's mode in Python floats, so an infinite d is
+    refused before any array is formed.  An atom whose d underflows to 0 has
+    ratio exactly 1: it joins the final log-sum-exp as log w, with no row.
     """
+    _check_t_args(n, mixture.scale)
+    root_n, atoms = math.sqrt(n + 1.0) * mixture.scale, mixture.atoms
+    d_lo, d_hi = root_n * min(atoms)[0], root_n * max(atoms)[0]
+    mode_hi = _t_mode(n, d_hi * d_hi)
+    _check_budget(mode_hi)
     import numpy as np
 
-    _check_t_args(n, mixture.scale)
-    r, w = np.array(mixture.atoms).T
-    d = math.sqrt(n + 1.0) * mixture.scale * r
+    r, w = np.array(atoms).T
+    d, logs, row = root_n * r, np.log(w), slice(None)
+    if d_lo == 0.0:  # only the atoms with d > 0 get rows
+        if d_hi == 0.0:
+            return float(np.log(w.sum()))
+        row = d > 0.0
+        d = d[row]
+        d_lo = float(d.min())
     log_x = (0.5 * math.log(2.0) + np.log(d))[:, None]
     lg0 = math.lgamma(0.5 * (n + 1.0))
 
@@ -263,13 +276,8 @@ def log_lr_sup_t_mixture(n: int, mixture: SnrMixture) -> float:
         shared = shared.reshape(pairs, 2).cumsum(axis=0).ravel()
         return (shared + k * log_x)[:, : k1 - k0]
 
-    def mode(atom: tuple[float, float]) -> float:
-        d = math.sqrt(n + 1.0) * mixture.scale * atom[0]
-        return _t_mode(n, d * d)
-
-    atoms = mixture.atoms
-    sums = log_sum_rows(chunk, mode(min(atoms)), mode(max(atoms)), len(atoms))
-    logs = np.log(w) - 0.5 * d * d + sums
+    sums = log_sum_rows(chunk, _t_mode(n, d_lo * d_lo), mode_hi, len(d))
+    logs[row] = logs[row] - 0.5 * d * d + sums
     m = float(logs.max())
     return m + math.log(float(np.exp(logs - m).sum()))
 

@@ -204,6 +204,16 @@ def polygamma_mpmath(m: int, x: float) -> float:
         return float(mpmath.psi(m, x))
 
 
+def stirlerr_mpmath(k: int) -> float:
+    """log k! - (k log k - k + log(2 pi k) / 2) from mpmath at 50 digits."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        k = mpmath.mpf(k)
+        stirling = k * mpmath.log(k) - k + mpmath.log(2 * mpmath.pi * k) / 2
+        return float(mpmath.loggamma(k + 1) - stirling)
+
+
 def lr_sup_t_mixture_by_atom(n: int, atoms, scale: float) -> float:
     """Weighted average of the scalar t kernel, one atom at a time."""
     logs = [math.log(w) + log_lr_sup_t(n, scale * r) for r, w in atoms]

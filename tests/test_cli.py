@@ -449,7 +449,7 @@ EDGE_VALUES = ["0.0", "1e-320", "1e-300", "0.05", "1.0", "1e+300", "inf", "nan",
 EDGE_PLANS = {
     "plan-t": lambda e: ["plan-t", "--snr", e],
     "plan-f": lambda e: ["plan-f", "--delta", e, "--p", "3"],
-    "plan-t-mixture": lambda e: ["plan-t-mixture", "--atoms", f"{e}:1"],
+    "plan-t-mixture": lambda e: ["plan-t-mixture", "--atoms", f"{e}:1", "--scale", e],
     "plan-general": lambda e: [
         "plan-general", "--family", "normal", "--effect", e, "--rho", "0.5",
     ],
@@ -514,7 +514,7 @@ def _log_curve(command, effect):
         return lambda n: log_lr_sup_t(n, effect)
     if command == "plan-f":
         return lambda n: log_lr_sup_f(3, n, effect)
-    mixture = SnrMixture(atoms=((effect, 1.0),))
+    mixture = SnrMixture(atoms=((effect, 1.0),), scale=effect)
     return lambda n: log_lr_sup_t_mixture(n, mixture)
 
 
@@ -532,6 +532,9 @@ class TestEdgeValues:
     @example(command="plan-t-mixture", alpha="1e-320", pi="1e-320", effect="0.05")
     @example(command="plan-t", alpha="0.05", pi="0.05", effect="1e+300")
     @example(command="plan-f", alpha="0.05", pi="0.05", effect="1e+300")
+    # mixture effects of atom times scale that underflow to 0 and overflow
+    @example(command="plan-t-mixture", alpha="0.05", pi="0.05", effect="1e-300")
+    @example(command="plan-t-mixture", alpha="0.05", pi="0.05", effect="1e+300")
     def test_exit_status_and_crossing(self, command, alpha, pi, effect):
         argv = EDGE_PLANS[command](effect) + ["--alpha", alpha, "--pi", pi]
         code, out, _ = _edge_call(argv)

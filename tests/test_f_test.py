@@ -23,19 +23,27 @@ class TestLrSupF:
     # mode 988_417 at delta 703: its first window passes term 10^6
     @pytest.mark.parametrize("delta", [703.0, 2000.0, 1e300])
     def test_mode_past_the_budget_raises_at_once(self, monkeypatch, delta):
-        # the error is raised from the mode before any chunk, so the shared
-        # log-factorial table is not built to 10^6 entries
+        # the error is raised from the mode before any window chunk runs
         p, n = 3, 1
         a = 0.5 * (n + p) * delta * delta
         mode = f_test._f_mode(p, n, a)
-        monkeypatch.setattr(numerics, "_log_factorial_table", ())
+        windows = []
+
+        def no_chunk(k0, k1):
+            raise AssertionError(f"window chunk [{k0}, {k1}) ran")
+
+        def spy(chunk, *args):
+            windows.append(args)
+            return numerics.log_sum_rows(no_chunk, *args)
+
+        monkeypatch.setattr(f_test, "log_sum_rows", spy)
         message = (
             f"no truncation after 1000000 terms (terms peak at k = {mode:.6g}, "
             "rel_tol 1e-14)"
         )
         with pytest.raises(SeriesDivergenceError, match=re.escape(message)):
             log_lr_sup_f(p, n, delta)
-        assert len(numerics._log_factorial_table) == 0
+        assert len(windows) == 1
 
     def test_vanishing_noncentrality(self):
         assert lr_sup_f(3, 10, 1e-9) == pytest.approx(1.0, abs=1e-6)

@@ -59,9 +59,9 @@ def log_uniform_int(lo: int, hi: int):
 def test_log_lr_sup_f_matches_series(p, n, delta):
     expected = oracles.log_lr_sup_f_series(p, n, delta)
     got = log_lr_sup_f(p, n, delta)
-    # both sides form log terms as differences of numbers near A ln A, so
-    # each carries rounding of about eps A ln A: at p = 1e5, delta = 2 both
-    # are 1e-10 off a 50-digit reference.  Past that they agree to 1e-11.
+    # the oracle forms log terms as differences of numbers near A ln A, so
+    # it carries rounding of about eps A ln A: at p = 1e5, delta = 2 it is
+    # 1e-10 off a 50-digit reference.  Past that they agree to 1e-11.
     a = 0.5 * (n + p) * delta * delta
     tol = 1e-11 * max(1.0, abs(expected)) + EPS * a * math.log(max(a, math.e))
     assert abs(got - expected) <= tol
@@ -81,14 +81,25 @@ def test_log_lr_sup_f_against_hypergeometric(p, n, delta):
     expected = oracles.log_lr_sup_f_hyp1f1(p, n, delta)
     got = log_lr_sup_f(p, n, delta)
     from_zero = oracles.log_lr_sup_f_series(p, n, delta)
-    # a log term near A ln A rounds by about eps A ln A, in the window and
-    # from k = 0 alike; past that and a few ulp of log K, the window is no
-    # worse than the full sum
+    # the sum from k = 0 forms log terms near A ln A, which round by about
+    # eps A ln A, and both bounds keep that floor; past it and a few ulp of
+    # log K, the window is no worse than the full sum
     a = 0.5 * (n + p) * delta * delta
     scale = max(1.0, abs(expected))
     floor = EPS * (a * math.log(max(a, math.e)) + 8.0 * scale)
     assert abs(got - expected) <= 1e-11 * scale + floor
     assert abs(got - expected) <= abs(from_zero - expected) + floor
+
+
+# long rows, where a log term formed near A ln A would round by eps A ln A:
+# 1e-10 of log K at the first point and 2e-10 at the last, whose terms peak
+# at k = 5e5, half the term budget
+@pytest.mark.parametrize(
+    "p,n,delta", [(100_000, 1, 2.0), (52361, 3, 0.7156), (1_000_000, 2, 1.0)]
+)
+def test_long_f_rows_against_hypergeometric(p, n, delta):
+    expected = oracles.log_lr_sup_f_hyp1f1(p, n, delta)
+    assert abs(log_lr_sup_f(p, n, delta) - expected) <= 1e-11 * max(1.0, abs(expected))
 
 
 def _f_delta_at_mode(p: int, n: int, mode: float) -> float:

@@ -212,6 +212,13 @@ class TestMixture:
         mix = SnrMixture(atoms=((1.0, 1.0),), scale=1e-300)
         assert lr_sup_t_mixture(n, mix) == 1.0
 
+    def test_atom_whose_effect_underflows_keeps_its_weight(self):
+        # scale * r = 1e-325 rounds to 0: that atom's ratio is exactly 1
+        pairs = ((1e-320, 0.25), (2e4, 0.75))
+        got = lr_sup_t_mixture(10, SnrMixture(atoms=pairs, scale=1e-5))
+        expected = oracles.lr_sup_t_mixture_by_atom(10, pairs, 1e-5)
+        assert got == pytest.approx(expected, rel=1e-13)
+
     def test_vanishing_effect_is_not_attainable(self):
         mix = SnrMixture(atoms=((1.0, 1.0),), scale=1e-300)
         with pytest.raises(NotAttainableError):

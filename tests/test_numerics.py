@@ -1,7 +1,5 @@
 import math
 import re
-import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -160,40 +158,13 @@ class TestSpecialFunctions:
             got, ref = kernel(float(x)), oracles.polygamma_mpmath(order, float(x))
             assert _special_error(got, ref) <= SPECIAL_TOL, (x, got, ref)
 
-    def test_log_factorials(self, monkeypatch):
-        monkeypatch.setattr(numerics, "_log_factorial_table", ())
-        table = numerics.log_factorials(300)
-        assert len(table) == 300
-        assert not table.flags.writeable
-        assert all(table[k] == math.lgamma(k + 1) for k in range(300))
-        # growth doubles, keeps the old entries and stops at the term budget
-        assert len(numerics.log_factorials(301)) == 600
-        full = numerics.log_factorials(numerics._MAX_TERMS + 10)
-        assert len(full) == numerics._MAX_TERMS
-        assert np.array_equal(full[:300], table[:300])
-        assert full[-1] == math.lgamma(numerics._MAX_TERMS)
-
-    def test_log_factorials_under_threads(self, monkeypatch):
-        # more threads than cores grow the shared table at once; each call
-        # must still get a whole table of at least the size it asked for
-        monkeypatch.setattr(numerics, "_log_factorial_table", ())
-        sizes = [int(s) for s in np.random.default_rng(5).integers(1, 200_000, 64)]
-        bad = []
-
-        def grow(size):
-            table = numerics.log_factorials(size)
-            if len(table) < size or table[size - 1] != math.lgamma(size):
-                bad.append(size)
-
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                for future in [pool.submit(grow, s) for s in sizes]:
-                    future.result(timeout=60)
-        finally:
-            sys.setswitchinterval(old)
-        assert bad == []
+    def test_stirlerr_against_mpmath(self):
+        # every k >= 1 the F window starts at: both sides of the switch to
+        # the series at 15, and on to the term budget
+        ks = {*range(1, 40), *np.geomspace(40, numerics._MAX_TERMS, 60).round()}
+        for k in sorted(ks):
+            got, ref = numerics.stirlerr(float(k)), oracles.stirlerr_mpmath(int(k))
+            assert abs(got - ref) <= 1e-13, (k, got, ref)
 
 
 def _poisson_log_terms(lam: float):
