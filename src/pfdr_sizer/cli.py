@@ -17,44 +17,13 @@ import os
 import sys
 import warnings
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from . import __version__
-from .f_test import FEffect, plan_f
-from .ldp_engine import (
-    FAMILIES,
-    SCORE_FAMILIES,
-    SHIFT_FAMILIES,
-    CgfModel,
-    ScoreModel,
-    SplitSpec,
-    TailIndex,
-    empirical_cgf,
-    legendre,
-    make_family,
-    make_score_model,
-    n_star_general,
-    n_star_score,
-    optimal_split,
-    solve_t0,
-)
-from .mc_verify import (
-    DegenerateScenarioError,
-    InsufficientHitsError,
-    SimScenario,
-    ThresholdSchedule,
-    simulate_pfdr,
-    tail_ratio_mc,
-)
-from .normal_t import SnrEffect, SnrMixture, plan_t, plan_t_mixture
-from .numerics import RootBracketError, SeriesDivergenceError
-from .pfdr_core import (
-    DEFAULT_N_MAX,
-    InvalidRatioError,
-    NonMonotoneCurveError,
-    NotAttainableError,
-    PfdrTarget,
-)
+from .pfdr_core import DEFAULT_N_MAX, PfdrTarget
+
+if TYPE_CHECKING:
+    from .ldp_engine import CgfModel, TailIndex
 
 __all__ = ["RunConfig", "UsageError", "parse_config", "run", "main", "main_entry"]
 
@@ -93,18 +62,42 @@ _N_MAX = Param("n-max", int, default=DEFAULT_N_MAX, help="search budget")
 _PARAM_HELP = {"sigma": "standard deviation", "width": "support width"}
 
 
-def _family_params(names: tuple[str, ...]) -> tuple[Param, ...]:
-    """One flag per parameter of the named families, default from the registry."""
-    params: dict[str, Param] = {}
-    for name in names:
-        for key, default in FAMILIES[name].params.items():
-            required = f" (required for {name} family)" if default is None else ""
-            text = f"{name} {_PARAM_HELP.get(key, key)}{required}"
-            params.setdefault(key, Param(key, float, default=default, help=text))
-    return tuple(params.values())
+# the family flag and family parameters come from ldp_engine's registry,
+# which a command without a family must not import: each is a function
+# that reads the registry when a command's parameters are resolved
 
 
-_FAMILY_PARAMS = _family_params(SHIFT_FAMILIES)
+def _family_flag(kind: str | None, help: str, extra: tuple[str, ...] = ()):
+    """The family flag, one choice per registry family of kind (every kind if None)."""
+
+    def params() -> tuple[Param, ...]:
+        from .ldp_engine import FAMILIES
+
+        names = tuple(name for name, f in FAMILIES.items() if kind in (None, f.kind))
+        return (Param("family", str, required=True, choices=names + extra, help=help),)
+
+    return params
+
+
+def _family_params(kind: str):
+    """One flag per parameter of the registry families of kind, default from the registry."""
+
+    def params() -> tuple[Param, ...]:
+        from .ldp_engine import FAMILIES
+
+        out: dict[str, Param] = {}
+        for name, family in FAMILIES.items():
+            if family.kind != kind:
+                continue
+            for key, default in family.params.items():
+                required = f" (required for {name} family)" if default is None else ""
+                text = f"{name} {_PARAM_HELP.get(key, key)}{required}"
+                out.setdefault(key, Param(key, float, default=default, help=text))
+        return tuple(out.values())
+
+    return params
+
+
 _EMPIRICAL_PARAMS = (
     Param("sample-file", str, help="text file of observations for family=empirical"),
     Param(
@@ -121,17 +114,26 @@ _EMPIRICAL_PARAMS = (
 
 
 # each command's parameters and handler, in the order the help lists them;
-# a handler takes the resolved parameters and the seed and returns the
-# report's (outputs, diagnostics)
-COMMANDS: dict[str, tuple[tuple[Param, ...], Callable[..., tuple[dict, dict]]]] = {}
+# a parameter is a Param or a function returning Params (see _family_flag).
+# A handler imports the library modules it runs, takes the resolved
+# parameters and the seed, and returns the report's (outputs, diagnostics)
+COMMANDS: dict[str, tuple[tuple[Any, ...], Callable[..., tuple[dict, dict]]]] = {}
 
 
-def _command(name: str, *params: Param):
+def _command(name: str, *params: Param | Callable[[], tuple[Param, ...]]):
     def declare(handler):
         COMMANDS[name] = (params, handler)
         return handler
 
     return declare
+
+
+def _params(command: str) -> tuple[Param, ...]:
+    """The command's parameters, each function resolved, then the common keys."""
+    declared = COMMANDS[command][0]
+    return tuple(
+        p for item in declared for p in (item() if callable(item) else (item,))
+    ) + _COMMON
 
 
 def _plan_outputs(report) -> tuple[dict[str, Any], dict[str, Any]]:
@@ -154,6 +156,8 @@ def _plan_outputs(report) -> tuple[dict[str, Any], dict[str, Any]]:
     _N_MAX,
 )
 def _plan_t(p: dict[str, Any], seed: int):
+    from .normal_t import SnrEffect, plan_t
+
     target = PfdrTarget(p["alpha"], p["pi"])
     return _plan_outputs(plan_t(target, SnrEffect(p["snr"]), n_max=p["n-max"]))
 
@@ -191,6 +195,8 @@ def _parse_atoms(text: str) -> tuple[tuple[float, float], ...]:
     _N_MAX,
 )
 def _plan_t_mixture(p: dict[str, Any], seed: int):
+    from .normal_t import SnrMixture, plan_t_mixture
+
     target = PfdrTarget(p["alpha"], p["pi"])
     mixture = SnrMixture(atoms=_parse_atoms(p["atoms"]), scale=p["scale"])
     return _plan_outputs(plan_t_mixture(target, mixture, n_max=p["n-max"]))
@@ -204,12 +210,22 @@ def _plan_t_mixture(p: dict[str, Any], seed: int):
     _N_MAX,
 )
 def _plan_f(p: dict[str, Any], seed: int):
+    from .f_test import FEffect, plan_f
+
     target = PfdrTarget(p["alpha"], p["pi"])
     return _plan_outputs(plan_f(target, FEffect(p["delta"], p["p"]), n_max=p["n-max"]))
 
 
 def _model(p: dict[str, Any]) -> tuple[CgfModel, TailIndex, float | None]:
     """(cgf, tail, k_f) of the family p names; k_f is None but for score models."""
+    from .ldp_engine import (
+        SCORE_FAMILIES,
+        TailIndex,
+        empirical_cgf,
+        make_family,
+        make_score_model,
+    )
+
     family = p["family"]
     if family in SCORE_FAMILIES:
         model = make_score_model(family, **p)
@@ -240,19 +256,15 @@ def _model(p: dict[str, Any]) -> tuple[CgfModel, TailIndex, float | None]:
 @_command(
     "plan-general",
     *_TARGET,
-    Param(
-        "family",
-        str,
-        required=True,
-        choices=SHIFT_FAMILIES + ("empirical",),
-        help="data family",
-    ),
+    _family_flag("shift", "data family", extra=("empirical",)),
     Param("effect", float, required=True, help="mean shift d > 0"),
     Param("rho", float, required=True, help="fraction of sample for the scale"),
-    *_FAMILY_PARAMS,
+    _family_params("shift"),
     *_EMPIRICAL_PARAMS,
 )
 def _plan_general(p: dict[str, Any], seed: int):
+    from .ldp_engine import SplitSpec, n_star_general
+
     target = PfdrTarget(p["alpha"], p["pi"])
     cgf, tail, _ = _model(p)
     report = n_star_general(target, cgf, tail, SplitSpec(p["rho"]), p["effect"])
@@ -262,12 +274,14 @@ def _plan_general(p: dict[str, Any], seed: int):
 @_command(
     "plan-score",
     *_TARGET,
-    Param("family", str, required=True, choices=SCORE_FAMILIES, help="score model"),
+    _family_flag("score", "score model"),
     Param("effect", float, required=True, help="location shift theta > 0"),
     Param("rho", float, required=True, help="fraction of sample for the scale"),
-    *_family_params(SCORE_FAMILIES),
+    _family_params("score"),
 )
 def _plan_score(p: dict[str, Any], seed: int):
+    from .ldp_engine import ScoreModel, SplitSpec, n_star_score
+
     target = PfdrTarget(p["alpha"], p["pi"])
     model = ScoreModel(*_model(p))
     return _plan_outputs(n_star_score(target, model, SplitSpec(p["rho"]), p["effect"]))
@@ -275,10 +289,12 @@ def _plan_score(p: dict[str, Any], seed: int):
 
 @_command(
     "optimize-split",
-    Param("family", str, required=True, choices=SHIFT_FAMILIES, help="data family"),
-    *_FAMILY_PARAMS,
+    _family_flag("shift", "data family"),
+    _family_params("shift"),
 )
 def _optimize_split(p: dict[str, Any], seed: int):
+    from .ldp_engine import optimal_split
+
     cgf, tail, _ = _model(p)
     outputs = asdict(optimal_split(cgf, tail))
     return outputs, {"family": cgf.family_tag, "lambda_tail": tail.lam}
@@ -286,7 +302,7 @@ def _optimize_split(p: dict[str, Any], seed: int):
 
 @_command(
     "simulate",
-    Param("family", str, required=True, choices=tuple(FAMILIES), help="data family"),
+    _family_flag(None, "data family"),
     Param(
         "estimand",
         str,
@@ -310,9 +326,12 @@ def _optimize_split(p: dict[str, Any], seed: int):
     Param("t-target", float, help="threshold growth T for estimand=tail-ratio"),
     Param("batch-nulls", int, default=10_000, help="nulls per pfdr batch"),
     Param("min-hits", int, default=100, help="minimum tail hits per side"),
-    *_FAMILY_PARAMS,
+    _family_params("shift"),
 )
 def _simulate(p: dict[str, Any], seed: int):
+    from .ldp_engine import FAMILIES
+    from .mc_verify import SimScenario, ThresholdSchedule, simulate_pfdr, tail_ratio_mc
+
     family = p["family"]
     schedule = ThresholdSchedule(kind=p["schedule"], z0=p["z0"])
     scenario = SimScenario(
@@ -342,19 +361,15 @@ def _simulate(p: dict[str, Any], seed: int):
 
 @_command(
     "ldp-info",
-    Param(
-        "family",
-        str,
-        required=True,
-        choices=tuple(FAMILIES) + ("empirical",),
-        help="data family or score model",
-    ),
+    _family_flag(None, "data family or score model", extra=("empirical",)),
     Param("rho", float, default=0.5, help="fraction of sample for the scale"),
     Param("u", float, help="slope at which to report the Legendre transform"),
-    *_FAMILY_PARAMS,
+    _family_params("shift"),
     *_EMPIRICAL_PARAMS,
 )
 def _ldp_info(p: dict[str, Any], seed: int):
+    from .ldp_engine import SplitSpec, legendre, solve_t0
+
     cgf, tail, k_f_value = _model(p)
     split = SplitSpec(p["rho"])
     t0 = solve_t0(cgf, tail, split)
@@ -394,16 +409,22 @@ def _dest(name: str) -> str:
     return name.replace("-", "_")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser for argv: every command is listed, for the help and for
+    "invalid choice" errors, but only a command that argv names gets its
+    arguments.  argparse descends only into the subparser whose name equals
+    an argv item, so the other subparsers are never asked for theirs."""
     parser = argparse.ArgumentParser(
         prog="pfdr-sizer",
         description="Sample size planning for a target positive false discovery rate",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (params, _) in COMMANDS.items():
+    for command in COMMANDS:
         p = sub.add_parser(command)
-        for param in params + _COMMON:
+        if command not in argv:
+            continue
+        for param in _params(command):
             p.add_argument(
                 _flag(param.name),
                 dest=_dest(param.name),
@@ -466,9 +487,10 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
     Precedence: built-in defaults, then the config file, then explicit
     flags.  Unknown config keys are a hard error.
     """
-    args = _build_parser().parse_args(list(argv))
+    argv = list(argv)
+    args = _build_parser(argv).parse_args(argv)
     command = args.command
-    params = COMMANDS[command][0] + _COMMON
+    params = _params(command)
     by_name = {p.name: p for p in params}
 
     values: dict[str, Any] = {}
@@ -522,29 +544,31 @@ def _config_value(value: Any) -> str:
 # execution
 
 
-# each typed library failure: its status, its fixed outputs and the keys of
-# its diagnostics, in order, each the error's attribute of that name or, for
-# "message", its text; the report's exit code is 1
-_OUTCOMES: dict[type[Exception], tuple[str, dict[str, Any], tuple[str, ...]]] = {
-    NotAttainableError: (
+# each typed library failure, a RuntimeError, by its class name so that no
+# command imports another command's module to catch it: its status, its
+# fixed outputs and the keys of its diagnostics, in order, each the error's
+# attribute of that name or, for "message", its text; the report's exit
+# code is 1
+_OUTCOMES: dict[str, tuple[str, dict[str, Any], tuple[str, ...]]] = {
+    "NotAttainableError": (
         "not-attainable",
         {"n_exact": None, "n_asymptotic": None},
         ("rho_at_n_max", "n_max", "q_value"),
     ),
-    InsufficientHitsError: (
+    "InsufficientHitsError": (
         "insufficient-hits",
         {"ratio_hat": None},
         ("hits_num", "hits_den", "trials", "min_hits"),
     ),
-    DegenerateScenarioError: (
+    "DegenerateScenarioError": (
         "degenerate-scenario",
         {"pfdr_hat": None},
         ("batches", "total_nulls", "reject_rate_bound"),
     ),
-    RootBracketError: ("root-not-bracketed", {}, ("message",)),
-    SeriesDivergenceError: ("series-diverged", {}, ("message",)),
-    InvalidRatioError: ("invalid-ratio", {}, ("message",)),
-    NonMonotoneCurveError: ("non-monotone-curve", {}, ("message",)),
+    "RootBracketError": ("root-not-bracketed", {}, ("message",)),
+    "SeriesDivergenceError": ("series-diverged", {}, ("message",)),
+    "InvalidRatioError": ("invalid-ratio", {}, ("message",)),
+    "NonMonotoneCurveError": ("non-monotone-curve", {}, ("message",)),
 }
 
 
@@ -557,12 +581,15 @@ def run(config: RunConfig) -> int:
         _, handler = COMMANDS[config.command]
         outputs, diagnostics = handler(config.parameters, config.seed)
         status = "ok"
-    except tuple(_OUTCOMES) as exc:
-        status, outputs, keys = _OUTCOMES[type(exc)]
-        fields = {**vars(exc), "message": str(exc)}
-        diagnostics = {key: fields[key] for key in keys}
     except ValueError as exc:  # UnsupportedFamilyError included
         raise UsageError(str(exc)) from exc
+    except RuntimeError as exc:
+        outcome = _OUTCOMES.get(type(exc).__name__)
+        if outcome is None:
+            raise
+        status, outputs, keys = outcome
+        fields = {**vars(exc), "message": str(exc)}
+        diagnostics = {key: fields[key] for key in keys}
 
     report = {
         "command": config.command,

@@ -38,6 +38,7 @@ if TYPE_CHECKING:
 
 from .normal_t import _LOG_RESCALE, _RESCALE_AT
 from .numerics import _MAX_CHUNK_CELLS, _REL_TOL, _check_budget, _check_size, exp_or_inf
+from .numerics import RootBracketError, SeriesDivergenceError
 from .numerics import find_root_increasing, log_sum_rows, stirlerr
 from .pfdr_core import DEFAULT_N_MAX, LrSupCurve, PfdrTarget, PlanReport, min_n_search
 
@@ -240,26 +241,35 @@ def quadratic_root_n(p: int, delta: float, a: float) -> float:
 def plan_f(target: PfdrTarget, effect: FEffect, n_max: int = DEFAULT_N_MAX) -> PlanReport:
     """Minimum denominator degrees of freedom n with log K(p, n, delta) >= ln Q.
 
-    Runs the exact curve search from the quadratic root and evaluates all
-    three approximations; the one matching the (delta, p) regime is reported
-    as n_asymptotic, the rest ride along in diagnostics.
+    Evaluates all three approximations and runs the exact curve search from
+    the smaller of the mgf inversion and the log power, the nearer of the
+    three to n_exact on most inputs.  The one matching the (delta, p) regime
+    is reported as n_asymptotic, the rest ride along in diagnostics.
     """
     delta, p = effect.delta, effect.p
     curve = LrSupCurve(eval=lambda n: log_lr_sup_f(p, n, delta))
     a = target.log_q()
-    # the quadratic root starts the search; it has no meaning for a <= 0,
-    # where n = 1 suffices, or when delta^2 underflows and K stays at 1
+    # the quadratic root has no meaning for a <= 0, where n = 1 suffices, or
+    # when delta^2 underflows and K stays at 1
     n_quad = quadratic_root_n(p, delta, a) if a > 0.0 and delta * delta > 0.0 else 1.0
-    report = min_n_search(curve, target, n_max=n_max, hint=n_quad)
-
+    asym_error = None
     if a <= 0.0:
         n_mgf = n_quad = n_logpow = 1.0
     else:
-        hint = max(1.0, min(a + 1.0, math.sqrt(2.0 * p * a)))
-        t_star = find_root_increasing(lambda t: _log_m_p(p, t), a, hint)
-        n_mgf = max(1.0, t_star / delta)
         n_quad = max(1.0, n_quad)
-        n_logpow = max(1.0, math.ceil(2.0 * a / math.log1p(delta * delta)))
+        try:
+            hint = max(1.0, min(a + 1.0, math.sqrt(2.0 * p * a)))
+            t_star = find_root_increasing(lambda t: _log_m_p(p, t), a, hint)
+            n_mgf = max(1.0, t_star / delta)
+            n_logpow = max(1.0, math.ceil(2.0 * a / math.log1p(delta * delta)))
+        except (ArithmeticError, ValueError, RootBracketError, SeriesDivergenceError) as exc:
+            # raised only after a search from the quadratic root, so that a
+            # target the curve cannot reach still reports as not attainable
+            asym_error = exc
+    start = n_quad if asym_error is not None else min(n_mgf, n_logpow)
+    report = min_n_search(curve, target, n_max=n_max, hint=start)
+    if asym_error is not None:
+        raise asym_error
 
     if delta * delta * p >= _LOGPOW_MIN_D2P and delta >= _LOGPOW_MIN_DELTA:
         regime, n_asym = REGIME_F_LOGPOW, n_logpow

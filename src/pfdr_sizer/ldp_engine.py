@@ -560,7 +560,13 @@ def _hits_normal(rng, size, n, m, effect, z, side, sigma):
 
 def _hits_uniform(rng, size, n, m, effect, z, side, width):
     effect /= width
-    xbar0 = _by_chunks(size, n, lambda k, c: (rng.random((k, c)) - 0.5).sum(axis=1))
+
+    def centred_sums(k, c):
+        u = rng.random((k, c))
+        u -= 0.5
+        return u.sum(axis=1)
+
+    xbar0 = _by_chunks(size, n, centred_sums)
 
     def gaps(rows, pairs):
         d = _uniform_gap(rng, (pairs, rows.size))

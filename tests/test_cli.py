@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -413,8 +414,9 @@ class TestFailureStatuses:
         report = json.loads(out)
         assert report["status"] == "invalid-ratio"
         assert report["outputs"] == {}
-        # the search starts at plan-f's quadratic-root hint, n = 11 here
-        assert "rho_11 = 0.5" in report["diagnostics"]["message"]
+        # the search starts at plan-f's smaller rate asymptote, here the log
+        # power, n = 15 (the mgf inversion reads 320.8)
+        assert "rho_15 = 0.5" in report["diagnostics"]["message"]
 
     def test_non_monotone_curve_is_a_fault(self, capsys, monkeypatch):
         from pfdr_sizer import normal_t
@@ -1032,6 +1034,10 @@ SCIPY_FREE = {
         "ldp-info", "--family", "gamma-score", "--rho", "0.5", "--u", "0.3",
     ]),
     "usage-error": (2, False, ["plan-t", "--alpha", "2", "--pi", "0.1", "--snr", "0.1"]),
+    "usage-error-missing": (2, False, [
+        "plan-f", "--alpha", "0.05", "--pi", "0.1", "--delta", "0.3",
+    ]),
+    "usage-error-not-a-choice": (2, False, ["optimize-split", "--family", "cauchy"]),
     "usage-error-empirical": (2, False, [
         "plan-general", "--alpha", "0.05", "--pi", "0.1", "--family", "empirical",
         "--effect", "0.3", "--rho", "0.4",
@@ -1039,6 +1045,22 @@ SCIPY_FREE = {
 }
 
 
+# the pfdr_sizer modules, beside the package and cli, that a CLI process
+# loads for each command; a usage error loads no more than its command
+_CORE = {"numerics", "pfdr_core"}
+COMMAND_MODULES = {
+    "plan-t": _CORE | {"normal_t"},
+    "plan-t-mixture": _CORE | {"normal_t"},
+    "plan-f": _CORE | {"normal_t", "f_test"},
+    "plan-general": _CORE | {"ldp_engine"},
+    "plan-score": _CORE | {"ldp_engine"},
+    "optimize-split": _CORE | {"ldp_engine"},
+    "ldp-info": _CORE | {"ldp_engine"},
+    "simulate": _CORE | {"ldp_engine", "mc_verify"},
+}
+
+
+@functools.lru_cache(maxsize=None)
 def _cold_imports(argv):
     """Exit code and the packages a fresh CLI process imports.
 
@@ -1066,10 +1088,19 @@ class TestColdImports:
     @pytest.mark.parametrize("name", sorted(SCIPY_FREE))
     def test_loads_no_scipy(self, name):
         code, numpy, argv = SCIPY_FREE[name]
-        got, names = _cold_imports(argv)
+        got, names = _cold_imports(tuple(argv))
         assert got == code
         assert ("numpy" in names) == numpy
         assert "scipy" not in names
+
+    @pytest.mark.parametrize("name", sorted(SCIPY_FREE))
+    def test_loads_only_its_commands_modules(self, name):
+        code, _, argv = SCIPY_FREE[name]
+        got, names = _cold_imports(tuple(argv))
+        assert got == code
+        loaded = {n.split(".")[1] for n in names if n.startswith("pfdr_sizer.")} - {"cli"}
+        expected = COMMAND_MODULES[argv[0]]
+        assert loaded <= expected if code == 2 else loaded == expected
 
     def test_importing_the_package_loads_no_numpy(self):
         proc = subprocess.run(

@@ -34,7 +34,7 @@ from pfdr_sizer.ldp_engine import (
     pfdr_floor_limit,
     solve_t0,
 )
-from pfdr_sizer.numerics import RootRangeError
+from pfdr_sizer.numerics import RootBracketError, RootRangeError
 from pfdr_sizer.pfdr_core import PfdrTarget, q_threshold
 
 RNG = np.random.default_rng(20260819)
@@ -324,6 +324,19 @@ class TestOptimalSplit:
         a = optimal_split(*make_family("normal", sigma=0.25))
         b = optimal_split(*make_family("normal", sigma=4.0))
         assert a.rho_star == pytest.approx(b.rho_star, abs=1e-6)
+
+    def test_empirical_domain_ending_before_the_upper_root_raises(self):
+        # the search's upper end, rho = 1 - 1e-4, needs t Lambda'(t) to reach
+        # rho / (1 - rho) = 9999; on a grid of +-2 an empirical cgf's domain
+        # ends long before that, though a middle split still solves
+        sample = np.random.default_rng(7).standard_normal(500)
+        cgf = empirical_cgf(sample, t_grid=(-2.0, 2.0))
+        tail = TailIndex(0.0)
+        sup = cgf.domain_sup
+        assert sup * cgf.lambda_d1(sup) < (1.0 - 1e-4) / 1e-4
+        assert 0.0 < solve_t0(cgf, tail, SplitSpec(0.5)) < sup
+        with pytest.raises(RootBracketError):
+            optimal_split(cgf, tail)
 
 
 class TestKf:
